@@ -47,11 +47,16 @@ from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SRC = REPO_ROOT / "src"
-if str(SRC) not in sys.path:
-    sys.path.insert(0, str(SRC))
+for _path in (SRC, REPO_ROOT):
+    if str(_path) not in sys.path:
+        sys.path.insert(0, str(_path))
 
 import numpy as np  # noqa: E402
 
+from benchmarks.dense_reference import (  # noqa: E402
+    DenseMCDawidSkeneModel,
+    DenseMetalLabelModel,
+)
 from repro.core.session import DataProgrammingSession  # noqa: E402
 from repro.core.seu import SEUSelector  # noqa: E402
 from repro.data import load_dataset  # noqa: E402
@@ -189,26 +194,20 @@ ENGINE_MODES = {
 
 
 def scratch_label_model_factory(ds, task: str):
-    """The historical from-scratch label model: legacy dense cold fits.
+    """The historical from-scratch label model: dense cold fits.
 
     The scratch baseline documents the *seed implementation's* semantics,
-    which predate the O(nnz) cold kernels — pinning ``cold_path="dense"``
-    keeps the baseline honest as the default ``"auto"`` policy routes
-    large-n cold fits to the sparse path (the incremental column measures
-    the optimization; the scratch column must not silently inherit it).
+    which predate the O(nnz) kernels every production label model now
+    fits on — the dense reference models of ``benchmarks/dense_reference.py``
+    keep that arithmetic, so the scratch column does not silently inherit
+    the optimization the incremental column measures.
     """
     if task == "binary":
-        from repro.labelmodel.metal import MetalLabelModel
-
         prior = ds.label_prior
-        return lambda: MetalLabelModel(class_prior=prior, cold_path="dense")
-    from repro.multiclass.dawid_skene import MCDawidSkeneModel
-
+        return lambda: DenseMetalLabelModel(class_prior=prior)
     K = ds.n_classes
     priors = ds.class_priors
-    return lambda: MCDawidSkeneModel(
-        n_classes=K, class_priors=priors, cold_path="dense"
-    )
+    return lambda: DenseMCDawidSkeneModel(n_classes=K, class_priors=priors)
 
 
 def make_session(ds, task: str, mode: str, seed: int):

@@ -1,7 +1,6 @@
 """Adapter line budget: the multiclass adapter modules must stay thin.
 
-Re-homed from the standalone ``tools/adapter_budget.py`` guard (which
-remains as a thin shim over these constants): the mirror-removal
+Enforced by ``repro lint`` (and so by CI's lint step): the mirror-removal
 refactor rewrote the formerly duplicated ``repro.multiclass`` subsystems
 as adapters over the cardinality-generic core (ARCHITECTURE.md), and a
 module growing past the budget is the tell-tale of logic being

@@ -19,9 +19,10 @@ branch condition is not a matrix scan.
 
 Designated dense code is exempt:
 
-* functions whose name ends in ``_dense`` — the preserved legacy
-  arithmetic kept as the ``cold_path="dense"`` defeat switch and parity
-  oracle;
+* functions whose name ends in ``_dense`` — the posteriors a model
+  computes straight from the dense matrix when ``predict_proba`` is
+  called without a stats handle (the dense EM itself lives outside the
+  package, in ``benchmarks/dense_reference.py``);
 * ``marginal_ll`` / ``_marginal_ll`` — diagnostic log-likelihood
   oracles, dense by design and referenced by tests;
 * the validation and diagnostics helpers of ``matrix.py``
@@ -109,8 +110,8 @@ class DenseVoteScan(Rule):
     description = (
         "label-model refit paths must compute from ColumnStats entry "
         "arrays, not dense (L != abstain)-style matrix scans; dense "
-        "arithmetic lives only in designated *_dense oracles and "
-        "validation/diagnostics helpers"
+        "arithmetic lives only in the designated *_dense no-handle "
+        "posteriors and validation/diagnostics helpers"
     )
 
     def _in_scope(self, ctx: FileContext) -> bool:
@@ -148,7 +149,7 @@ class DenseVoteScan(Rule):
                 ctx,
                 node,
                 "dense abstain-sentinel scan on a label-model path — "
-                "compute from the ColumnStats entry arrays (O(nnz)) or "
-                "move the scan into a designated *_dense oracle / "
-                "validation helper",
+                "compute from the ColumnStats entry arrays (O(nnz)); only "
+                "the *_dense no-handle posteriors and the validation "
+                "helpers may scan the dense matrix",
             )

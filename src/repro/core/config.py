@@ -53,11 +53,6 @@ class NemoConfig:
         paper; the pipeline is label-model agnostic).
     end_model_l2:
         L2 strength of the logistic-regression end model.
-    warm_end_mode:
-        How warm (between-backstop) end-model refits run — ``"minibatch"``
-        (default, the Adam continuation over the covered-feature buffer)
-        or ``"lbfgs"`` (the defeat switch; capped warm L-BFGS).  Cold
-        backstops are bit-identical either way (ENGINE.md §7).
     """
 
     selector: str | DevDataSelector = "seu"
@@ -73,7 +68,6 @@ class NemoConfig:
     label_model: str = "metal"
     label_model_kwargs: dict = field(default_factory=dict)
     end_model_l2: float = 1e-2
-    warm_end_mode: str = "minibatch"
 
     def build_selector(self) -> DevDataSelector:
         """Resolve the selector field to a concrete instance."""
@@ -126,7 +120,6 @@ class NemoConfig:
             contextualizer=contextualizer,
             percentile_tuner=tuner,
             tune_every=self.tune_every,
-            warm_end_mode=self.warm_end_mode,
             seed=seed,
         )
 

@@ -8,8 +8,8 @@ model and the end model.  Historically the two implementations were
 line-for-line mirrors; this module hosts the single engine both now extend,
 parameterized by cardinality through a handful of hooks.
 
-The engine is *incremental* along three axes, each individually defeatable
-(see ENGINE.md for the contract):
+The engine is *incremental* along these axes (see ENGINE.md for the
+contract):
 
 1. **Append-only vote storage** — the train/valid vote matrices are
    :class:`~repro.labelmodel.matrix.VoteMatrix` buffers that grow by column
@@ -25,18 +25,17 @@ The engine is *incremental* along three axes, each individually defeatable
    SEU's sparse aggregates (``B.T @ proxy``, utility tables, the expected
    utility vector itself) are computed at most once per refit.
 
-4. **Incremental sufficient statistics & on-demand proxy** — warm
-   label-model refits receive the vote matrix's
+4. **Incremental sufficient statistics & on-demand proxy** — label-model
+   refits, warm and cold, receive the vote matrix's
    :class:`~repro.labelmodel.matrix.ColumnStats` handle so every EM
    iteration runs on the per-column fire structure (O(nnz)) instead of
-   re-scanning ``(L != 0)`` over the dense matrix; cold backstops keep
-   the exact dense arithmetic and use the handle only to skip the
-   redundant re-validation of votes the matrix already validated on
-   append.  On warm refits the end model no longer predicts the train
-   split eagerly: the refresh is deferred to the first time a selector
-   actually reads the proxy (bit-identical values when it does, no
-   prediction at all for selectors that never read it), with every cold
-   refit refreshing eagerly (``lazy_proxy=False`` defeats this axis).
+   re-scanning ``(L != 0)`` over the dense matrix, and the re-validation
+   of votes the matrix already validated on append is skipped.  On warm
+   refits the end model does not predict the train split eagerly: the
+   refresh is deferred to the first time a selector actually reads the
+   proxy (bit-identical values when it does, no prediction at all for
+   selectors that never read it), with every cold refit refreshing
+   eagerly.
 
 Setting ``warm_start=False`` and ``full_refit_every=1`` reproduces the
 from-scratch semantics of the original sessions exactly — that
@@ -69,9 +68,6 @@ from repro.core.lineage import LineageStore
 from repro.core.protocol import PendingInteraction, ProtocolError, SimulatedDriver
 from repro.labelmodel.matrix import VoteMatrix, column_nonzero_rows
 from repro.utils.rng import ensure_rng, stable_hash_seed
-
-#: Accepted values for the engine's ``warm_end_mode`` knob.
-WARM_END_MODES = ("minibatch", "lbfgs")
 
 #: Saturation point of the covered-row gate on warm minibatch end refits
 #: (``_fit_end_model``): the gate tracks ``warm_min_train`` below this
@@ -113,8 +109,8 @@ class IncrementalSessionEngine:
     entropy, and coverage masking all default to the convention's
     implementations.  Two hooks remain genuinely per-session:
 
-    * :meth:`_update_proxy` — refresh the ground-truth proxy from the
-      freshly fitted end model (shape and calibration differ);
+    * :meth:`_refresh_proxy` — recompute the ground-truth proxy from the
+      current end model (shape and calibration differ);
     * :meth:`build_state` — the selector/user-facing state snapshot.
 
     Subclasses are expected to set ``dataset``, ``rng``, ``family``,
@@ -161,15 +157,9 @@ class IncrementalSessionEngine:
         warm_label_iter: int = 3,
         warm_end_iter: int = 15,
         warm_min_train: int = 2000,
-        lazy_proxy: bool = True,
-        warm_end_mode: str = "minibatch",
     ) -> None:
         if tune_every < 1:
             raise ValueError(f"tune_every must be >= 1, got {tune_every}")
-        if warm_end_mode not in WARM_END_MODES:
-            raise ValueError(
-                f"warm_end_mode must be one of {WARM_END_MODES}, got {warm_end_mode!r}"
-            )
         if isinstance(full_refit_every, str):
             if full_refit_every != "auto":
                 raise ValueError(
@@ -204,8 +194,6 @@ class IncrementalSessionEngine:
         self.warm_label_iter = warm_label_iter
         self.warm_end_iter = warm_end_iter
         self.warm_min_train = warm_min_train
-        self.lazy_proxy = lazy_proxy
-        self.warm_end_mode = warm_end_mode
         self._end_model_accepts_max_iter = (
             "max_iter" in inspect.signature(end_model.fit).parameters
         )
@@ -217,7 +205,7 @@ class IncrementalSessionEngine:
         # Warm end-model plumbing (ENGINE.md §7): the grow-only covered
         # feature buffer, the minibatch shuffle seed stream, and the
         # last-backstop coefficient anchor that keeps backstop fits
-        # path-independent of the warm mode.
+        # path-independent of the warm optimizer.
         self._covered_buf: CoveredFeatureBuffer | None = None
         self._end_mb_rng: np.random.Generator | None = None
         self._end_anchor_: dict | None = None
@@ -695,11 +683,9 @@ class IncrementalSessionEngine:
         """Fresh label model fitted on ``L``, warm-seeded when allowed.
 
         ``stats`` is the vote matrix's sufficient-statistics handle; it is
-        forwarded to models that accept it: warm fits run O(nnz) EM
-        iterations on it, and cold fits both skip the redundant
-        re-validation scan and (above the ``cold_path="auto"`` row
-        threshold) run the full EM on the same O(nnz) kernels
-        (ENGINE.md §10).
+        forwarded to models that accept it, so warm and cold fits alike
+        skip the redundant re-validation scan and run every EM iteration
+        on the O(nnz) kernels (ENGINE.md §10).
         """
         model = self.label_model_factory()
         kwargs = (
@@ -808,7 +794,7 @@ class IncrementalSessionEngine:
 
         A child spawned off the session RNG's seed sequence: adopting it
         never advances the parent stream, so selector/user draws stay
-        bit-identical between the ``minibatch`` and ``lbfgs`` modes.  It
+        bit-identical whichever optimizer the warm refits use.  It
         only seeds the end model's *first* ``fit_minibatch`` call — the
         model owns (and checkpoints) the stream state from then on — and
         spawning is deterministic per session seed, so a restored session
@@ -845,7 +831,7 @@ class IncrementalSessionEngine:
         sequence a pure function of the backstop inputs — each full
         L-BFGS fit warm-starts from the previous backstop's solution, not
         from wherever the warm path drifted — so backstop label/end state
-        is bit-identical across ``warm_end_mode`` settings.  The minibatch
+        is bit-identical whichever optimizer ran in between.  The minibatch
         shuffle stream is carried over: it advances monotonically with
         the session, never rewinding to the anchor's position.
         """
@@ -861,10 +847,13 @@ class IncrementalSessionEngine:
 
         Uncapped (backstop) fits always use the exact ascending-order
         fancy-index slice, so their inputs are bit-for-bit those of the
-        from-scratch path.  Warm refits in ``minibatch`` mode stream the
-        covered buffer through ``fit_minibatch``; refined (contextualized)
+        from-scratch path.  Warm refits stream the covered buffer through
+        the end model's ``fit_minibatch``; refined (contextualized)
         coverage is not monotone, so those sessions keep the exact slice
-        as input even for minibatch fits.
+        as input even for minibatch fits.  A warm refit falls back to the
+        capped L-BFGS fit (``warm_end_iter``) when the end model has no
+        ``fit_minibatch`` or the covered set is below the gate described
+        next.
 
         Like warm starts themselves, stochastic refits are a *scale*
         feature: on a small covered set a "minibatch" is just full-batch
@@ -875,8 +864,7 @@ class IncrementalSessionEngine:
         point out with it).
         """
         use_minibatch = (
-            self.warm_end_mode == "minibatch"
-            and not self._end_uncapped_
+            not self._end_uncapped_
             and self._end_model_fitted
             and self._end_model_accepts_minibatch
             and int(covered.sum()) >= max(min(self.warm_min_train, MINIBATCH_MIN_COVERED), 1)
@@ -971,17 +959,19 @@ class IncrementalSessionEngine:
     # ------------------------------------------------------------------ #
     # on-demand proxy plumbing
     # ------------------------------------------------------------------ #
-    def _lazy_proxy_allowed(self) -> bool:
-        """Whether this refit may defer the proxy refresh to first read.
+    def _update_proxy(self) -> None:
+        """Refresh the proxy after an end-model refit, or defer it.
 
-        Only warm refits defer — cold refits always refresh eagerly, so
-        the exact-at-backstop contract covers the proxy too.
+        Warm refits defer the refresh to the first selector read
+        (:meth:`_resolve_proxy`), so selectors that never read the proxy
+        never pay for end-model prediction between cold refits.  Cold
+        refits always refresh eagerly, so the exact-at-backstop contract
+        covers the proxy too.
         """
-        return self.lazy_proxy and not self._cold_warranted_
-
-    def _mark_proxy_stale(self) -> None:
-        """Defer this refit's proxy refresh to the first selector read."""
-        self._proxy_stale = True
+        if self._cold_warranted_:
+            self._refresh_proxy()
+        else:
+            self._proxy_stale = True
 
     def _resolve_proxy(self) -> np.ndarray:
         """Materialize a deferred proxy refresh; return the proxy array.
@@ -1006,9 +996,6 @@ class IncrementalSessionEngine:
 
     def _refresh_proxy(self) -> None:
         """Recompute the proxy from the current end model (session hook)."""
-        raise NotImplementedError
-
-    def _update_proxy(self) -> None:
         raise NotImplementedError
 
     def build_state(self):
@@ -1048,7 +1035,7 @@ class IncrementalSessionEngine:
         hyperparameters (the restoring session is constructed with the
         same configuration; see :meth:`load_state_dict`).
 
-        Any proxy refresh deferred by ``lazy_proxy`` is materialized first
+        Any deferred proxy refresh (ENGINE.md §4) is materialized first
         — the end model has not changed since it was deferred, so the
         values are exactly what the first selector read would have
         produced, and the snapshot stays self-contained.

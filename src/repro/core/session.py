@@ -125,7 +125,8 @@ class DataProgrammingSession(IncrementalSessionEngine, InteractiveMethod):
         validation split before handing them to selectors as the
         ground-truth proxy.  Off by default — the paper feeds raw end-model
         predictions to SEU; the calibrated variant is provided for study
-        (see :mod:`repro.endmodel.calibration`).
+        (see :mod:`repro.endmodel.calibration`).  Calibration refreshes
+        the proxy eagerly on every refit.
     warm_start:
         Warm-start the label model from the previous refit's posterior
         (see :mod:`repro.core.engine`).  ``False`` forces every refit to
@@ -144,28 +145,16 @@ class DataProgrammingSession(IncrementalSessionEngine, InteractiveMethod):
         to warm-start through (see :mod:`repro.core.engine`).
     warm_label_iter / warm_end_iter:
         Inner-iteration caps for warm label-model (EM) and end-model
-        (L-BFGS) refits; full refits are never capped.
+        (L-BFGS) refits; full refits are never capped.  Warm end-model
+        refits normally run the end model's ``fit_minibatch`` Adam
+        continuation; ``warm_end_iter`` caps the L-BFGS fit used instead
+        when the end model has no ``fit_minibatch`` or few rows are
+        covered (ENGINE.md §7).  Warm refits also defer the proxy
+        refresh to the first selector read (ENGINE.md §4).
     warm_min_train:
         Keep the exact from-scratch semantics whenever the training split
         is smaller than this — refit cost scales with ``n_train``, so
         small sessions gain nothing from incrementality.
-    lazy_proxy:
-        On warm refits, defer the end-model prediction of the
-        ground-truth proxy to the first selector read.  Selectors that
-        read it (SEU) see bit-identical values — the end model does not
-        change between the refit and the read — while selectors that
-        never read it (Random/Abstain/Disagree/Uncertainty) skip
-        end-model prediction entirely between cold refits.  ``False``
-        restores the eager refresh every refit (the original behaviour).
-        Ignored when ``calibrate_proxy=True`` (calibration is inherently
-        eager).
-    warm_end_mode:
-        How warm (between-backstop) end-model refits run: ``"minibatch"``
-        streams them through the end model's Adam continuation
-        (:meth:`~repro.endmodel.logistic.SoftLabelLogisticRegression.fit_minibatch`)
-        fed by the engine's grow-only covered-feature buffer; ``"lbfgs"``
-        is the defeat switch keeping the capped warm L-BFGS fit.  Cold
-        backstops are bit-identical full fits either way (ENGINE.md §7).
     seed:
         Seed for all session randomness.
     """
@@ -195,8 +184,6 @@ class DataProgrammingSession(IncrementalSessionEngine, InteractiveMethod):
         warm_label_iter: int = 3,
         warm_end_iter: int = 15,
         warm_min_train: int = 2000,
-        lazy_proxy: bool = True,
-        warm_end_mode: str = "minibatch",
         seed=None,
     ) -> None:
         InteractiveMethod.__init__(self, dataset, seed)
@@ -228,8 +215,6 @@ class DataProgrammingSession(IncrementalSessionEngine, InteractiveMethod):
             warm_label_iter=warm_label_iter,
             warm_end_iter=warm_end_iter,
             warm_min_train=warm_min_train,
-            lazy_proxy=lazy_proxy,
-            warm_end_mode=warm_end_mode,
         )
 
     # ------------------------------------------------------------------ #
@@ -262,25 +247,20 @@ class DataProgrammingSession(IncrementalSessionEngine, InteractiveMethod):
         )
 
     def _update_proxy(self) -> None:
-        if self.calibrate_proxy:
-            from repro.endmodel.calibration import PlattCalibrator
+        if not self.calibrate_proxy:
+            super()._update_proxy()
+            return
+        from repro.endmodel.calibration import PlattCalibrator
 
-            calibrator = PlattCalibrator()
-            self.proxy_proba = calibrator.fit_transform_from(
-                self.end_model,
-                self.dataset.valid.X,
-                self.dataset.valid.y,
-                self.dataset.train.X,
-            )
-            self.proxy_labels = np.where(self.proxy_proba >= 0.5, 1, -1)
-            self._proxy_stale = False
-        elif self._lazy_proxy_allowed():
-            # Warm refit: defer the refresh to the first selector read
-            # (ENGINE.md §4) — selectors that never read the proxy never
-            # pay for end-model prediction between cold refits.
-            self._mark_proxy_stale()
-        else:
-            self._refresh_proxy()
+        calibrator = PlattCalibrator()
+        self.proxy_proba = calibrator.fit_transform_from(
+            self.end_model,
+            self.dataset.valid.X,
+            self.dataset.valid.y,
+            self.dataset.train.X,
+        )
+        self.proxy_labels = np.where(self.proxy_proba >= 0.5, 1, -1)
+        self._proxy_stale = False
 
     def _refresh_proxy(self) -> None:
         self.proxy_proba = self.end_model.predict_proba(self.dataset.train.X)

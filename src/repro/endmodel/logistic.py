@@ -260,24 +260,6 @@ class SoftLabelLogisticRegression(FittedStateMixin):
         """``P(y = +1 | x)``."""
         return _sigmoid(self.decision_function(X))
 
-    def predict_proba_rows(self, X, rows) -> np.ndarray:
-        """``P(y = +1 | x)`` for the given ``rows`` of ``X`` only.
-
-        Sliced prediction for partial-split consumers: cost scales with
-        the slice, and each row's probability is the same per-row dot
-        product the full :meth:`predict_proba` computes, so the outputs
-        match row-for-row.
-        """
-        rows = np.asarray(rows, dtype=np.intp)
-        if rows.size == 0:
-            return np.zeros(0)
-        lo, hi = int(rows.min()), int(rows.max())
-        if lo < 0 or hi >= X.shape[0]:
-            raise IndexError(
-                f"row indices must lie in [0, {X.shape[0]}), got range [{lo}, {hi}]"
-            )
-        return _sigmoid(self.decision_function(X[rows]))
-
     def predict(self, X) -> np.ndarray:
         """Hard ±1 predictions."""
         return np.where(self.decision_function(X) >= 0.0, 1, -1).astype(int)

@@ -251,22 +251,6 @@ class SoftLabelSoftmaxRegression(FittedStateMixin):
         """``(n, K)`` class probabilities."""
         return _softmax(self.decision_function(X))
 
-    def predict_proba_rows(self, X, rows) -> np.ndarray:
-        """``(len(rows), K)`` class probabilities for the given rows only.
-
-        Sliced prediction for partial-split consumers; matches the
-        corresponding rows of the full :meth:`predict_proba`.
-        """
-        rows = np.asarray(rows, dtype=np.intp)
-        if rows.size == 0:
-            return np.zeros((0, self.n_classes))
-        lo, hi = int(rows.min()), int(rows.max())
-        if lo < 0 or hi >= X.shape[0]:
-            raise IndexError(
-                f"row indices must lie in [0, {X.shape[0]}), got range [{lo}, {hi}]"
-            )
-        return _softmax(self.decision_function(X[rows]))
-
     def predict(self, X) -> np.ndarray:
         """Hard class predictions (argmax)."""
         return np.argmax(self.decision_function(X), axis=1).astype(int)

@@ -14,10 +14,8 @@ import numpy as np
 
 from repro.labelmodel.base import LabelModel
 from repro.labelmodel.matrix import (
-    COLD_PATHS,
     ColumnStats,
     column_stats_from_dense,
-    resolve_cold_path,
     validated_or_stats,
 )
 
@@ -37,12 +35,6 @@ class DawidSkene(LabelModel):
         EM budget and convergence threshold (max parameter change).
     learn_prior:
         Whether the class prior is updated in the M-step.
-    cold_path:
-        Cold-fit kernel policy (``"auto"`` / ``"stats"`` / ``"dense"``):
-        same contract as
-        :class:`~repro.labelmodel.metal.MetalLabelModel` — ``"auto"``
-        picks the O(nnz) path at ``n >= COLD_STATS_MIN_ROWS``, ``"dense"``
-        is the bit-for-bit legacy defeat switch / parity oracle.
 
     Attributes
     ----------
@@ -63,17 +55,13 @@ class DawidSkene(LabelModel):
         n_iter: int = 100,
         tol: float = 1e-5,
         learn_prior: bool = True,
-        cold_path: str = "auto",
     ) -> None:
         super().__init__(class_prior)
         if n_iter < 1:
             raise ValueError(f"n_iter must be >= 1, got {n_iter}")
-        if cold_path not in COLD_PATHS:
-            raise ValueError(f"cold_path must be one of {COLD_PATHS}, got {cold_path!r}")
         self.n_iter = n_iter
         self.tol = tol
         self.learn_prior = learn_prior
-        self.cold_path = cold_path
         self.confusion_: np.ndarray | None = None
         self.prior_: float = class_prior
         self.converged_: bool = False
@@ -83,47 +71,21 @@ class DawidSkene(LabelModel):
         """Cold EM fit from the smoothed majority-vote posterior.
 
         ``stats`` (a matching :class:`~repro.labelmodel.matrix.ColumnStats`
-        handle) skips the dense re-validation scan.  Under the resolved
-        ``cold_path`` the full EM runs either on the O(nnz)
-        sufficient-statistics kernels (a missing handle is built here by
-        one dense scan; fits are bit-identical whichever way the handle
-        was obtained) or on the legacy dense arithmetic
-        (``cold_path="dense"``, bit-for-bit the historical semantics).
+        handle) skips the dense re-validation scan.  The full EM runs on
+        the O(nnz) sufficient-statistics kernels; a missing handle is built
+        here by one dense scan, and fits are bit-identical whichever way
+        the handle was obtained.
         """
         L = self._validated_or_stats(L, stats)
-        n, m = L.shape
-        if m == 0:
+        if L.shape[1] == 0:
             self.confusion_ = np.zeros((0, 2, 3))
             self.prior_ = self.class_prior
             self.converged_ = True
             self.em_iterations_ = 0
             return self
-        if resolve_cold_path(self.cold_path, n) == "stats":
-            if stats is None:
-                stats = column_stats_from_dense(L, abstain=0)
-            masses = self._outcome_masses(stats)
-            pos = stats.row_value_counts(1)
-            neg = stats.row_value_counts(-1)
-            q = np.where(
-                pos + neg > 0, (pos + 0.5) / (pos + neg + 1.0), self.class_prior
-            )
-            self._em_loop(
-                q,
-                self.n_iter,
-                m_step=lambda q: self._m_step_stats(masses, q),
-                e_step=lambda conf, prior: self._e_step_stats(stats, conf, prior),
-            )
-            return self
-        outcome_onehot = self._outcome_onehot_dense(L)  # (n, m, 3)
-        # Initialize from smoothed majority vote.
-        pos, neg = self._vote_tallies_dense(L)
-        q = np.where(pos + neg > 0, (pos + 0.5) / (pos + neg + 1.0), self.class_prior)
-        self._em_loop(
-            q,
-            self.n_iter,
-            m_step=lambda q: self._m_step_dense(outcome_onehot, q),
-            e_step=lambda conf, prior: self._e_step_dense(L, conf, prior),
-        )
+        if stats is None:
+            stats = column_stats_from_dense(L, abstain=0)
+        self._em_loop(stats, self._majority_posterior(stats), self.n_iter)
         return self
 
     def fit_warm(
@@ -158,48 +120,46 @@ class DawidSkene(LabelModel):
             stats = column_stats_from_dense(L, abstain=0)
         q = self._e_step_stats(stats, previous.confusion_, previous.prior_)
         n_iter = self.n_iter if max_iter is None else max(1, min(self.n_iter, int(max_iter)))
-        masses = self._outcome_masses(stats)
         # As in the other models' warm fits, the *initial* class-balance
         # estimate must mirror the cold seeding (smoothed majority
         # posterior) — estimating it from the previous converged posterior
         # lets a one-sided LF set drag the prior further every refit.
-        pos = stats.row_value_counts(1)
-        neg = stats.row_value_counts(-1)
-        q_majority = np.where(
-            pos + neg > 0, (pos + 0.5) / (pos + neg + 1.0), self.class_prior
-        )
-        self._em_loop(
-            q,
-            n_iter,
-            m_step=lambda q: self._m_step_stats(masses, q),
-            e_step=lambda conf, prior: self._e_step_stats(stats, conf, prior),
-            q_prior=q_majority,
-        )
+        self._em_loop(stats, q, n_iter, q_prior=self._majority_posterior(stats))
         return self
 
+    def _majority_posterior(self, stats: ColumnStats) -> np.ndarray:
+        """Smoothed majority-vote posterior (class prior on uncovered rows)."""
+        pos = stats.row_value_counts(1)
+        neg = stats.row_value_counts(-1)
+        return np.where(pos + neg > 0, (pos + 0.5) / (pos + neg + 1.0), self.class_prior)
+
     def _em_loop(
-        self, q: np.ndarray, n_iter: int, m_step, e_step, q_prior: np.ndarray | None = None
+        self,
+        stats: ColumnStats,
+        q: np.ndarray,
+        n_iter: int,
+        q_prior: np.ndarray | None = None,
     ) -> None:
-        """The shared EM alternation (cold and warm paths differ only in
-        how the sufficient statistics and posteriors are computed).
+        """The EM alternation shared by cold and warm fits.
 
         ``q_prior`` optionally supplies a different posterior for the
         *first* class-balance update (warm fits pass the majority
         posterior to mirror the cold seeding); subsequent updates use the
         evolving E-step posterior in both paths.
         """
+        masses = self._outcome_masses(stats)
         prior = self.class_prior
         confusion = None
         self.converged_ = False
         iterations = 0
         for it in range(n_iter):
             iterations = it + 1
-            confusion_new = m_step(q)
+            confusion_new = self._m_step_stats(masses, q)
             balance_q = q_prior if (it == 0 and q_prior is not None) else q
             prior_new = (
                 float(np.clip(balance_q.mean(), 0.01, 0.99)) if self.learn_prior else prior
             )
-            q_new = e_step(confusion_new, prior_new)
+            q_new = self._e_step_stats(stats, confusion_new, prior_new)
             if confusion is not None:
                 delta = max(
                     float(np.max(np.abs(confusion_new - confusion))),
@@ -222,10 +182,10 @@ class DawidSkene(LabelModel):
     ) -> np.ndarray:
         """``P(y=+1 | L_i)`` under the fitted confusions.
 
-        ``stats`` skips the dense re-validation scan; the posterior runs
-        on the kernel the ``cold_path`` policy resolves to at this ``n``
-        (a missing handle is built by one scan on the stats path, so the
-        result is byte-equal with or without ``stats``).
+        The kernel follows the handle: with ``stats`` (which also skips
+        the dense re-validation scan) the O(nnz) table-driven E-step runs;
+        without one the dense E-step runs on ``L`` directly.  The two agree
+        to float tolerance, not bitwise.
         """
         if self.confusion_ is None:
             raise RuntimeError("DawidSkene.predict_proba called before fit")
@@ -237,37 +197,13 @@ class DawidSkene(LabelModel):
             )
         if L.shape[1] == 0:
             return np.full(L.shape[0], self.prior_)
-        if resolve_cold_path(self.cold_path, L.shape[0]) == "stats":
-            if stats is None:
-                stats = column_stats_from_dense(L, abstain=0)
+        if stats is not None:
             return self._e_step_stats(stats, self.confusion_, self.prior_)
         return self._e_step_dense(L, self.confusion_, self.prior_)
 
     # ------------------------------------------------------------------ #
     # EM internals
     # ------------------------------------------------------------------ #
-    @staticmethod
-    def _vote_tallies_dense(L: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Per-row (positive, negative) vote counts by dense scan."""
-        return (L == 1).sum(axis=1), (L == -1).sum(axis=1)
-
-    @staticmethod
-    def _outcome_onehot_dense(L: np.ndarray) -> np.ndarray:
-        onehot = np.zeros((*L.shape, 3), dtype=float)
-        for o_idx, outcome in enumerate(_OUTCOMES):
-            onehot[..., o_idx] = L == outcome
-        return onehot
-
-    @staticmethod
-    def _m_step_dense(outcome_onehot: np.ndarray, q: np.ndarray) -> np.ndarray:
-        """Update confusion matrices from posterior responsibilities ``q``."""
-        weights = np.stack([1 - q, q], axis=1)  # (n, 2): P(y=-1), P(y=+1)
-        # counts[j, c, o] = Σ_i weights[i, c] * onehot[i, j, o]
-        counts = np.einsum("ic,ijo->jco", weights, outcome_onehot)
-        counts += _SMOOTH
-        return counts / counts.sum(axis=2, keepdims=True)
-
-    # -- O(nnz) twins used by the warm and sparse-cold paths ----------- #
     @staticmethod
     def _outcome_masses(stats: ColumnStats) -> dict[str, object]:
         """Per-outcome sparse indicator structure, shared by all EM steps."""

@@ -14,31 +14,6 @@ import scipy.sparse as sp
 
 ABSTAIN = 0
 
-#: Row-count floor for the sparse cold path under ``cold_path="auto"``.
-#: Below it, cold fits keep the legacy dense arithmetic bit-for-bit — the
-#: historical transcripts (golden sessions, the 1k exact-parity bench row)
-#: were recorded on the dense kernels, and at small n the dense EM is
-#: already interactive-fast, so "auto" only flips where it pays.
-COLD_STATS_MIN_ROWS = 2048
-
-#: The accepted ``cold_path`` policies of the stats-aware label models.
-COLD_PATHS = ("auto", "stats", "dense")
-
-
-def resolve_cold_path(cold_path: str, n_rows: int) -> str:
-    """Resolve a model's ``cold_path`` policy to ``"stats"`` or ``"dense"``.
-
-    ``"auto"`` picks the sparse path iff ``n_rows >= COLD_STATS_MIN_ROWS``;
-    ``"stats"`` and ``"dense"`` are explicit overrides (the latter is the
-    defeat switch that preserves the pre-sparse arithmetic verbatim and
-    serves as the parity oracle in the tests).
-    """
-    if cold_path not in COLD_PATHS:
-        raise ValueError(f"cold_path must be one of {COLD_PATHS}, got {cold_path!r}")
-    if cold_path == "auto":
-        return "stats" if n_rows >= COLD_STATS_MIN_ROWS else "dense"
-    return cold_path
-
 
 def column_nonzero_rows(B: sp.spmatrix, j: int) -> np.ndarray:
     """Row indices with a nonzero in column ``j`` of a sparse matrix.
@@ -600,7 +575,7 @@ def validated_or_stats(L: np.ndarray, stats: "ColumnStats | None", validator):
 def column_stats_from_dense(L: np.ndarray, abstain: int = ABSTAIN) -> ColumnStats:
     """A detached :class:`ColumnStats` built by scanning a dense matrix once.
 
-    The fallback for warm fits reached without an engine-threaded handle
+    The fallback for fits reached without an engine-threaded handle
     (hand-built matrices, contextualizer-refined votes): one O(n·m) scan,
     after which all EM iterations run on the O(nnz) path.  The structure
     (ascending row order per column) is identical to what the live

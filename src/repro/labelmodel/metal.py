@@ -30,10 +30,8 @@ import numpy as np
 
 from repro.labelmodel.base import LabelModel
 from repro.labelmodel.matrix import (
-    COLD_PATHS,
     ColumnStats,
     column_stats_from_dense,
-    resolve_cold_path,
     validated_or_stats,
 )
 
@@ -83,15 +81,6 @@ class MetalLabelModel(LabelModel):
         selection: under a one-sided LF set a learned prior drifts toward
         that side — the SEU selector's warm-up phase exists precisely to
         keep the LF set two-sided from the start.
-    cold_path:
-        Which arithmetic a cold :meth:`fit` (and an unfitted
-        :meth:`predict_proba`'s posterior) runs on.  ``"auto"`` (default)
-        picks the O(nnz) sufficient-statistics kernels at
-        ``n >= COLD_STATS_MIN_ROWS`` and the legacy dense kernels below;
-        ``"stats"`` / ``"dense"`` force one side.  ``"dense"`` is the
-        defeat switch: it preserves the pre-sparse arithmetic bit-for-bit
-        and is the parity oracle of the randomized tests.  Warm fits
-        always run on the stats path (unchanged).
     abstain_evidence:
         Whether :meth:`predict_proba` includes the *abstain* propensity
         evidence.  Off by default, recovering MeTaL's posterior semantics:
@@ -138,7 +127,6 @@ class MetalLabelModel(LabelModel):
         learning_rate: float = 0.1,
         learn_prior: bool = True,
         abstain_evidence: bool = False,
-        cold_path: str = "auto",
     ) -> None:
         super().__init__(class_prior)
         if n_iter < 1:
@@ -151,8 +139,6 @@ class MetalLabelModel(LabelModel):
             raise ValueError(f"anchor must be >= 0, got {anchor}")
         if method not in ("em", "sgd"):
             raise ValueError(f"method must be 'em' or 'sgd', got {method!r}")
-        if cold_path not in COLD_PATHS:
-            raise ValueError(f"cold_path must be one of {COLD_PATHS}, got {cold_path!r}")
         self.n_iter = n_iter
         self.tol = tol
         self.init_accuracy = init_accuracy
@@ -161,7 +147,6 @@ class MetalLabelModel(LabelModel):
         self.learning_rate = learning_rate
         self.learn_prior = learn_prior
         self.abstain_evidence = abstain_evidence
-        self.cold_path = cold_path
         self.accuracies_: np.ndarray | None = None
         self.propensities_: np.ndarray | None = None
         self.prior_: float = class_prior
@@ -175,15 +160,12 @@ class MetalLabelModel(LabelModel):
         """Cold fit seeded from the majority-vote posterior.
 
         ``stats`` (an engine-threaded :class:`ColumnStats` handle matching
-        ``L``) lets the fit skip the O(n·m) re-validation/densification
-        scan — the vote matrix validated every entry on append.  Under the
-        resolved ``cold_path`` the full EM (majority seeding, prior
-        estimate, M-steps, convergence check) runs either on the O(nnz)
-        sufficient-statistics kernels or on the legacy dense arithmetic
-        (``cold_path="dense"``, bit-for-bit the historical from-scratch
-        semantics).  On the stats path a missing handle is built here by
-        one dense scan; fits are bit-identical whichever way the handle
-        was obtained (the structure is canonical either way).
+        ``L``) lets the fit skip the O(n·m) re-validation scan — the vote
+        matrix validated every entry on append.  The full EM (majority
+        seeding, prior estimate, M-steps, convergence check) runs on the
+        O(nnz) sufficient-statistics kernels; a missing handle is built
+        here by one dense scan, and fits are bit-identical whichever way
+        the handle was obtained (the structure is canonical either way).
         """
         L = self._validated_or_stats(L, stats)
         self.prior_ = self.class_prior
@@ -193,14 +175,9 @@ class MetalLabelModel(LabelModel):
             self.propensities_ = np.zeros((0, 2))
             self.converged_ = True
             return self
-        if resolve_cold_path(self.cold_path, L.shape[0]) == "stats":
-            if stats is None:
-                stats = column_stats_from_dense(L, abstain=0)
-            self._fit_from_posterior(
-                L, self._majority_posterior(L, stats), stats=stats
-            )
-        else:
-            self._fit_from_posterior(L, self._majority_posterior(L))
+        if stats is None:
+            stats = column_stats_from_dense(L, abstain=0)
+        self._fit_from_posterior(stats, self._majority_posterior(stats))
         return self
 
     def fit_warm(
@@ -261,7 +238,7 @@ class MetalLabelModel(LabelModel):
             self.n_iter = max(1, min(self.n_iter, int(max_iter)))
         try:
             self._fit_from_posterior(
-                L, q_seed, q_prior=self._majority_posterior(L, stats), stats=stats
+                stats, q_seed, q_prior=self._majority_posterior(stats)
             )
         finally:
             self.n_iter = full_n_iter  # the cap is scoped to this call only
@@ -274,49 +251,37 @@ class MetalLabelModel(LabelModel):
 
     def _fit_from_posterior(
         self,
-        L: np.ndarray,
+        stats: ColumnStats,
         q: np.ndarray,
         q_prior: np.ndarray | None = None,
-        stats: ColumnStats | None = None,
     ) -> None:
         """Run the configured optimizer from an initial posterior ``q``.
 
         ``q_prior`` optionally supplies a different posterior for the class
         balance estimate (warm fits pass the majority posterior to mirror
-        the cold seeding; see :meth:`fit_warm`).  With ``stats`` the EM/SGD
-        iterations run on the O(nnz) sufficient-statistics path.
+        the cold seeding; see :meth:`fit_warm`).  Every EM/SGD iteration
+        runs on the O(nnz) sufficient-statistics path.
         """
         if self.learn_prior:
-            covered = (
-                stats.coverage_mask() if stats is not None else self._covered_dense(L)
-            )
+            covered = stats.coverage_mask()
             if covered.any():
                 balance_q = q if q_prior is None else q_prior
                 self.prior_ = float(
                     np.clip(balance_q[covered].mean(), _PRIOR_FLOOR, 1 - _PRIOR_FLOOR)
                 )
-        acc, rho = self._m_step(L, q, stats)
+        acc, rho = self._m_step(self._sufficient_stats(stats, q))
         if self.method == "em":
-            self._fit_em(L, acc, rho, stats)
+            self._fit_em(stats, acc, rho)
         else:
-            self._fit_sgd(L, acc, rho, stats)
+            self._fit_sgd(stats, acc, rho)
 
-    def _fit_em(
-        self,
-        L: np.ndarray,
-        acc: np.ndarray,
-        rho: np.ndarray,
-        stats: ColumnStats | None = None,
-    ) -> None:
+    def _fit_em(self, stats: ColumnStats, acc: np.ndarray, rho: np.ndarray) -> None:
         self.converged_ = False
         iterations = 0
         for _ in range(self.n_iter):
             iterations += 1
-            if stats is not None:
-                q = self._posterior_stats(stats, acc, rho, with_abstain=True)
-            else:
-                q = self._posterior_dense(L, acc, rho)
-            new_acc, new_rho = self._m_step(L, q, stats)
+            q = self._posterior_stats(stats, acc, rho, with_abstain=True)
+            new_acc, new_rho = self._m_step(self._sufficient_stats(stats, q))
             delta = max(
                 float(np.max(np.abs(new_acc - acc))),
                 float(np.max(np.abs(new_rho - rho))),
@@ -328,13 +293,7 @@ class MetalLabelModel(LabelModel):
         self.em_iterations_ = iterations
         self._finalize(acc, rho)
 
-    def _fit_sgd(
-        self,
-        L: np.ndarray,
-        acc: np.ndarray,
-        rho: np.ndarray,
-        stats: ColumnStats | None = None,
-    ) -> None:
+    def _fit_sgd(self, stats: ColumnStats, acc: np.ndarray, rho: np.ndarray) -> None:
         """Adam on the marginal log-likelihood (gradients via Fisher's identity).
 
         The expected-complete-data gradient at the current posterior equals
@@ -346,18 +305,15 @@ class MetalLabelModel(LabelModel):
         adam_m = np.zeros_like(theta)
         adam_v = np.zeros_like(theta)
         beta1, beta2, eps = 0.9, 0.999, 1e-8
-        m = L.shape[1]
+        m = stats.m
         self.converged_ = False
         iterations = 0
         for t in range(1, self.n_iter + 1):
             iterations = t
             acc = _sigmoid(theta[:m])
             rho = np.stack([_sigmoid(theta[m : 2 * m]), _sigmoid(theta[2 * m :])], axis=1)
-            if stats is not None:
-                q = self._posterior_stats(stats, acc, rho, with_abstain=True)
-            else:
-                q = self._posterior_dense(L, acc, rho)
-            suff = self._sufficient_stats(L, q, stats)
+            q = self._posterior_stats(stats, acc, rho, with_abstain=True)
+            suff = self._sufficient_stats(stats, q)
             # d ll / d logit(a) = (expected_correct - a * expected_fires) etc.
             grad_acc = suff["correct"] - acc * suff["fires"]
             grad_acc += self.anchor * (self.init_accuracy - acc)  # Beta anchor
@@ -396,12 +352,9 @@ class MetalLabelModel(LabelModel):
     # ------------------------------------------------------------------ #
     # EM pieces
     # ------------------------------------------------------------------ #
-    def _sufficient_stats(
-        self, L: np.ndarray, q: np.ndarray, stats: ColumnStats | None = None
-    ) -> dict[str, np.ndarray]:
-        if stats is None:
-            return self._sufficient_stats_dense(L, q)
-        # O(nnz) path: two sparse mat-vecs against the per-column fire
+    @staticmethod
+    def _sufficient_stats(stats: ColumnStats, q: np.ndarray) -> dict[str, np.ndarray]:
+        # O(nnz): two sparse mat-vecs against the per-column fire
         # structure replace every dense (L != 0) / (L == ±1) scan.
         # With t = Σ_fired q and s = Σ_fired v·q (v = ±1), the positive
         # and negative vote masses are (t ± s) / 2, and
@@ -423,23 +376,8 @@ class MetalLabelModel(LabelModel):
             "mass_neg": np.full(stats.m, (1 - q).sum()),
         }
 
-    def _sufficient_stats_dense(self, L: np.ndarray, q: np.ndarray) -> dict[str, np.ndarray]:
-        """Dense twin of the stats branch (the ``cold_path="dense"`` oracle)."""
-        fires = (L != 0).astype(float)
-        correct = ((L == 1) * q[:, None] + (L == -1) * (1 - q)[:, None]).sum(axis=0)
-        return {
-            "correct": correct,
-            "fires": fires.sum(axis=0),
-            "fires_pos": (fires * q[:, None]).sum(axis=0),
-            "fires_neg": (fires * (1 - q)[:, None]).sum(axis=0),
-            "mass_pos": np.full(L.shape[1], q.sum()),
-            "mass_neg": np.full(L.shape[1], (1 - q).sum()),
-        }
-
-    def _m_step(
-        self, L: np.ndarray, q: np.ndarray, stats: ColumnStats | None = None
-    ) -> tuple[np.ndarray, np.ndarray]:
-        suff = self._sufficient_stats(L, q, stats)
+    def _m_step(self, suff: dict[str, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+        """Closed-form anchored updates from the sufficient statistics."""
         anchor = self.anchor
         acc = (suff["correct"] + anchor * self.init_accuracy) / (suff["fires"] + anchor)
         acc = np.clip(acc, _ACC_FLOOR, _ACC_CEIL)
@@ -453,40 +391,19 @@ class MetalLabelModel(LabelModel):
         rho = np.clip(np.stack([rho_neg, rho_pos], axis=1), _RHO_FLOOR, _RHO_CEIL)
         return acc, rho
 
-    def _majority_posterior(
-        self, L: np.ndarray, stats: ColumnStats | None = None
-    ) -> np.ndarray:
+    @staticmethod
+    def _majority_posterior(stats: ColumnStats) -> np.ndarray:
         """Symmetrically-smoothed majority-vote posterior seeding EM.
 
-        The per-row vote tallies are exact integers, so reading them from
-        the stats handle's running counters (O(n)) is bit-identical to the
-        dense O(n·m) scan.
+        Read from the handle's exact-integer running vote tallies (O(n)).
         """
-        if stats is not None:
-            pos = stats.row_value_counts(1).astype(float)
-            neg = stats.row_value_counts(-1).astype(float)
-            n = stats.n_rows
-        else:
-            pos, neg = self._vote_tallies_dense(L)
-            n = L.shape[0]
+        pos = stats.row_value_counts(1).astype(float)
+        neg = stats.row_value_counts(-1).astype(float)
         total = pos + neg
-        q = np.full(n, 0.5)
+        q = np.full(stats.n_rows, 0.5)
         covered = total > 0
         q[covered] = (pos[covered] + 0.5) / (total[covered] + 1.0)
         return q
-
-    @staticmethod
-    def _vote_tallies_dense(L: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Per-row (positive, negative) vote counts by dense scan."""
-        return (
-            (L == 1).sum(axis=1).astype(float),
-            (L == -1).sum(axis=1).astype(float),
-        )
-
-    @staticmethod
-    def _covered_dense(L: np.ndarray) -> np.ndarray:
-        """Row coverage mask by dense scan (stats-less fallback)."""
-        return (L != 0).any(axis=1)
 
     # ------------------------------------------------------------------ #
     # inference
@@ -496,11 +413,11 @@ class MetalLabelModel(LabelModel):
     ) -> np.ndarray:
         """``P(y=+1 | L_i)`` per example.
 
-        ``stats`` (a matching handle) skips the dense re-validation scan.
-        The posterior runs on the kernel the model's ``cold_path`` policy
-        resolves to at this ``n``; on the stats path a missing handle is
-        built by one dense scan, so ``predict_proba(L)`` and
-        ``predict_proba(L, stats)`` are byte-equal at every size.
+        The kernel follows the handle: with ``stats`` (a matching handle,
+        which also skips the dense re-validation scan) the posterior runs
+        on the O(nnz) table-driven kernel; without one it runs on the dense
+        matrix directly, which is cheaper than building a handle for a
+        single pass.  The two agree to float tolerance, not bitwise.
         """
         if self.accuracies_ is None or self.propensities_ is None:
             raise RuntimeError("MetalLabelModel.predict_proba called before fit")
@@ -512,9 +429,7 @@ class MetalLabelModel(LabelModel):
             )
         if L.shape[1] == 0:
             return np.full(L.shape[0], self.prior_)
-        if resolve_cold_path(self.cold_path, L.shape[0]) == "stats":
-            if stats is None:
-                stats = column_stats_from_dense(L, abstain=0)
+        if stats is not None:
             return self._posterior_stats(
                 stats,
                 self.accuracies_,

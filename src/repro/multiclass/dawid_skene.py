@@ -21,10 +21,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.labelmodel.matrix import (
-    COLD_PATHS,
     ColumnStats,
     column_stats_from_dense,
-    resolve_cold_path,
     validated_or_stats,
 )
 from repro.multiclass.base import MultiClassLabelModel
@@ -62,11 +60,6 @@ class MCDawidSkeneModel(MultiClassLabelModel):
         (fitting always uses the full model).  Off by default so uncovered
         examples keep maximal uncertainty — the exploration signal the
         selectors need.
-    cold_path:
-        Cold-fit kernel policy (``"auto"`` / ``"stats"`` / ``"dense"``):
-        same contract as the binary models — ``"auto"`` picks the
-        O(nnz·K) path at ``n >= COLD_STATS_MIN_ROWS``, ``"dense"`` is the
-        bit-for-bit legacy defeat switch / parity oracle.
 
     Attributes
     ----------
@@ -100,7 +93,6 @@ class MCDawidSkeneModel(MultiClassLabelModel):
         anchor: float = 2.0,
         learn_priors: bool = True,
         abstain_evidence: bool = False,
-        cold_path: str = "auto",
     ) -> None:
         super().__init__(n_classes, class_priors)
         if n_iter < 1:
@@ -112,15 +104,12 @@ class MCDawidSkeneModel(MultiClassLabelModel):
             )
         if anchor < 0:
             raise ValueError(f"anchor must be >= 0, got {anchor}")
-        if cold_path not in COLD_PATHS:
-            raise ValueError(f"cold_path must be one of {COLD_PATHS}, got {cold_path!r}")
         self.n_iter = n_iter
         self.tol = tol
         self.init_accuracy = init_accuracy
         self.anchor = anchor
         self.learn_priors = learn_priors
         self.abstain_evidence = abstain_evidence
-        self.cold_path = cold_path
         self.confusions_: np.ndarray | None = None
         self.propensities_: np.ndarray | None = None
         self.priors_: np.ndarray = self.class_priors.copy()
@@ -136,12 +125,10 @@ class MCDawidSkeneModel(MultiClassLabelModel):
         """Cold EM fit from the smoothed vote-share posterior.
 
         ``stats`` (a matching :class:`~repro.labelmodel.matrix.ColumnStats`
-        handle) skips the dense re-validation scan.  Under the resolved
-        ``cold_path`` the full EM runs either on the O(nnz·K)
-        sufficient-statistics kernels (a missing handle is built here by
-        one dense scan; fits are bit-identical whichever way the handle
-        was obtained) or on the legacy dense arithmetic
-        (``cold_path="dense"``, bit-for-bit the historical semantics).
+        handle) skips the dense re-validation scan.  The full EM runs on
+        the O(nnz·K) sufficient-statistics kernels; a missing handle is
+        built here by one dense scan, and fits are bit-identical whichever
+        way the handle was obtained.
         """
         L = self._validated_or_stats(L, stats)
         K = self.n_classes
@@ -152,14 +139,9 @@ class MCDawidSkeneModel(MultiClassLabelModel):
             self.converged_ = True
             self.em_iterations_ = 0
             return self
-        if resolve_cold_path(self.cold_path, L.shape[0]) == "stats":
-            if stats is None:
-                stats = column_stats_from_dense(L, abstain=MC_ABSTAIN)
-            self._fit_from_posterior(
-                L, self._majority_posterior(L, stats), stats=stats
-            )
-        else:
-            self._fit_from_posterior(L, self._majority_posterior(L))
+        if stats is None:
+            stats = column_stats_from_dense(L, abstain=MC_ABSTAIN)
+        self._fit_from_posterior(stats, self._majority_posterior(stats))
         return self
 
     def fit_warm(
@@ -211,7 +193,7 @@ class MCDawidSkeneModel(MultiClassLabelModel):
             self.n_iter = max(1, min(self.n_iter, int(max_iter)))
         try:
             self._fit_from_posterior(
-                L, Q_seed, Q_prior=self._majority_posterior(L, stats), stats=stats
+                stats, Q_seed, Q_prior=self._majority_posterior(stats)
             )
         finally:
             self.n_iter = full_n_iter  # the cap is scoped to this call only
@@ -224,33 +206,29 @@ class MCDawidSkeneModel(MultiClassLabelModel):
 
     def _fit_from_posterior(
         self,
-        L: np.ndarray,
+        stats: ColumnStats,
         Q: np.ndarray,
         Q_prior: np.ndarray | None = None,
-        stats: ColumnStats | None = None,
     ) -> None:
         """Run EM from an initial posterior ``Q``.
 
         ``Q_prior`` optionally supplies a different posterior for the
         initial class-balance update (warm fits pass the majority
         posterior; subsequent updates inside the loop use the E-step
-        posterior in both the cold and warm paths).  With ``stats`` every
-        E/M step runs on the O(nnz·K) sparse path.
+        posterior in both the cold and warm paths).  Every E/M step runs
+        on the O(nnz·K) sparse path.
         """
         if self.learn_priors:
-            self._update_priors(L, Q if Q_prior is None else Q_prior, stats)
-        theta, rho = self._m_step(L, Q, stats)
+            self._update_priors(stats, Q if Q_prior is None else Q_prior)
+        theta, rho = self._m_step(stats, Q)
         self.converged_ = False
         iterations = 0
         for _ in range(self.n_iter):
             iterations += 1
-            if stats is not None:
-                Q = self._posterior_stats(stats, theta, rho, with_abstain=True)
-            else:
-                Q = self._posterior_dense(L, theta, rho, with_abstain=True)
+            Q = self._posterior_stats(stats, theta, rho, with_abstain=True)
             if self.learn_priors:
-                self._update_priors(L, Q, stats)
-            new_theta, new_rho = self._m_step(L, Q, stats)
+                self._update_priors(stats, Q)
+            new_theta, new_rho = self._m_step(stats, Q)
             delta = max(
                 float(np.max(np.abs(new_theta - theta))),
                 float(np.max(np.abs(new_rho - rho))),
@@ -263,106 +241,45 @@ class MCDawidSkeneModel(MultiClassLabelModel):
         self.propensities_ = rho
         self.em_iterations_ = iterations
 
-    def _update_priors(
-        self, L: np.ndarray, Q: np.ndarray, stats: ColumnStats | None = None
-    ) -> None:
-        covered = (
-            stats.coverage_mask() if stats is not None else self._covered_dense(L)
-        )
+    def _update_priors(self, stats: ColumnStats, Q: np.ndarray) -> None:
+        covered = stats.coverage_mask()
         if covered.any():
             priors = Q[covered].mean(axis=0)
             priors = np.clip(priors, _PRIOR_FLOOR, None)
             self.priors_ = priors / priors.sum()
 
-    def _majority_posterior(
-        self, L: np.ndarray, stats: ColumnStats | None = None
-    ) -> np.ndarray:
+    def _majority_posterior(self, stats: ColumnStats) -> np.ndarray:
         """Smoothed vote-share posterior that seeds EM.
 
-        The per-row vote tallies are exact integers, so reading them from
-        the stats handle's running counters is bit-identical to the dense
-        scan.
+        Read from the handle's exact-integer running vote tallies (O(n·K)).
         """
-        K = self.n_classes
-        if stats is not None:
-            counts = np.stack(
-                [stats.row_value_counts(k).astype(float) for k in range(K)], axis=1
-            )
-        else:
-            counts = self._vote_counts_dense(L)
+        counts = np.stack(
+            [stats.row_value_counts(k).astype(float) for k in range(self.n_classes)],
+            axis=1,
+        )
         smoothed = counts + self.class_priors[None, :]
         return smoothed / smoothed.sum(axis=1, keepdims=True)
 
-    def _vote_counts_dense(self, L: np.ndarray) -> np.ndarray:
-        """Per-row per-class vote counts by dense scan."""
-        counts = np.zeros((L.shape[0], self.n_classes))
-        for k in range(self.n_classes):
-            counts[:, k] = (L == k).sum(axis=1)
-        return counts
+    def _m_step(self, stats: ColumnStats, Q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Closed-form confusion/propensity updates with Dirichlet anchors.
 
-    @staticmethod
-    def _covered_dense(L: np.ndarray) -> np.ndarray:
-        """Row coverage mask by dense scan (stats-less fallback)."""
-        return (L != MC_ABSTAIN).any(axis=1)
-
-    def _m_step(
-        self, L: np.ndarray, Q: np.ndarray, stats: ColumnStats | None = None
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Closed-form confusion/propensity updates with Dirichlet anchors."""
-        n, m = L.shape
+        O(nnz·K): one sparse mat-mat per emitted class replaces the
+        per-column dense masks.
+        """
         K = self.n_classes
         # Anchor pattern: init_accuracy on the diagonal, rest uniform.
-        off_diag = (1.0 - self.init_accuracy) / (K - 1)
-        anchor_row = np.full((K, K), off_diag)
+        anchor_row = np.full((K, K), (1.0 - self.init_accuracy) / (K - 1))
         np.fill_diagonal(anchor_row, self.init_accuracy)
-
-        if stats is not None:
-            # O(nnz·K) path: one sparse mat-mat per emitted class replaces
-            # the per-column dense masks.
-            class_mass = Q.sum(axis=0)  # (K,)
-            counts = np.empty((m, K, K))  # counts[j, k, l]
-            for l in range(K):
-                counts[:, :, l] = np.asarray(stats.value_csc(l).T @ Q)
-            fire_mass = counts.sum(axis=2)  # (m, K) — before the anchor
-            counts += self.anchor * anchor_row[None, :, :]
-            theta = np.clip(
-                counts / counts.sum(axis=2, keepdims=True), _THETA_FLOOR, 1.0
-            )
-            theta /= theta.sum(axis=2, keepdims=True)
-            with np.errstate(invalid="ignore", divide="ignore"):
-                rho = np.where(
-                    class_mass[None, :] > 0, fire_mass / class_mass[None, :], 0.5
-                )
-            rho = np.clip(rho, _RHO_FLOOR, _RHO_CEIL)
-            return theta, rho
-        return self._m_step_dense(L, Q, anchor_row)
-
-    def _m_step_dense(
-        self, L: np.ndarray, Q: np.ndarray, anchor_row: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Dense twin of the stats M-step (the ``cold_path="dense"`` oracle)."""
-        n, m = L.shape
-        K = self.n_classes
-        theta = np.empty((m, K, K))
-        rho = np.empty((m, K))
         class_mass = Q.sum(axis=0)  # (K,)
-        for j in range(m):
-            votes_j = L[:, j]
-            fired = votes_j != MC_ABSTAIN
-            # counts[k, l] = Σ_{i: λ_j(x_i) = l} Q[i, k]
-            counts = np.zeros((K, K))
-            for l in range(K):
-                voted_l = votes_j == l
-                if voted_l.any():
-                    counts[:, l] = Q[voted_l].sum(axis=0)
-            counts += self.anchor * anchor_row
-            theta[j] = np.clip(
-                counts / counts.sum(axis=1, keepdims=True), _THETA_FLOOR, 1.0
-            )
-            theta[j] /= theta[j].sum(axis=1, keepdims=True)
-            fire_mass = Q[fired].sum(axis=0) if fired.any() else np.zeros(K)
-            with np.errstate(invalid="ignore", divide="ignore"):
-                rho[j] = np.where(class_mass > 0, fire_mass / class_mass, 0.5)
+        counts = np.empty((stats.m, K, K))  # counts[j, k, l]
+        for l in range(K):
+            counts[:, :, l] = np.asarray(stats.value_csc(l).T @ Q)
+        fire_mass = counts.sum(axis=2)  # (m, K) — before the anchor
+        counts += self.anchor * anchor_row[None, :, :]
+        theta = np.clip(counts / counts.sum(axis=2, keepdims=True), _THETA_FLOOR, 1.0)
+        theta /= theta.sum(axis=2, keepdims=True)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            rho = np.where(class_mass[None, :] > 0, fire_mass / class_mass[None, :], 0.5)
         rho = np.clip(rho, _RHO_FLOOR, _RHO_CEIL)
         return theta, rho
 
@@ -374,10 +291,10 @@ class MCDawidSkeneModel(MultiClassLabelModel):
     ) -> np.ndarray:
         """``(n, K)`` posterior.
 
-        ``stats`` skips the dense re-validation scan; the posterior runs
-        on the kernel the ``cold_path`` policy resolves to at this ``n``
-        (a missing handle is built by one scan on the stats path, so the
-        result is byte-equal with or without ``stats``).
+        The kernel follows the handle: with ``stats`` (which also skips
+        the dense re-validation scan) the O(nnz·K) table-driven posterior
+        runs; without one the dense posterior runs on ``L`` directly.  The
+        two agree to float tolerance, not bitwise.
         """
         if self.confusions_ is None or self.propensities_ is None:
             raise RuntimeError("MCDawidSkeneModel.predict_proba called before fit")
@@ -389,9 +306,7 @@ class MCDawidSkeneModel(MultiClassLabelModel):
             )
         if L.shape[1] == 0:
             return np.tile(self.priors_, (L.shape[0], 1))
-        if resolve_cold_path(self.cold_path, L.shape[0]) == "stats":
-            if stats is None:
-                stats = column_stats_from_dense(L, abstain=MC_ABSTAIN)
+        if stats is not None:
             return self._posterior_stats(
                 stats,
                 self.confusions_,

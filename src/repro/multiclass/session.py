@@ -83,23 +83,16 @@ class MultiClassSession(IncrementalSessionEngine):
         to warm-start through (see :mod:`repro.core.engine`).
     warm_label_iter / warm_end_iter:
         Inner-iteration caps for warm label-model (EM) and end-model
-        (L-BFGS) refits; full refits are never capped.
+        (L-BFGS) refits; full refits are never capped.  Warm end-model
+        refits normally run the end model's ``fit_minibatch`` Adam
+        continuation; ``warm_end_iter`` caps the L-BFGS fit used instead
+        when the end model has no ``fit_minibatch`` or few rows are
+        covered (ENGINE.md §7).  Warm refits also defer the proxy
+        refresh to the first selector read (ENGINE.md §4).
     warm_min_train:
         Keep the exact from-scratch semantics whenever the training split
         is smaller than this — refit cost scales with ``n_train``, so
         small sessions gain nothing from incrementality.
-    lazy_proxy:
-        On warm refits, defer the end-model prediction of the
-        ground-truth proxy to the first selector read (bit-identical
-        values for selectors that read it; no prediction at all for
-        selectors that never do); cold refits always refresh eagerly.
-        ``False`` restores the eager refresh every refit.
-    warm_end_mode:
-        How warm (between-backstop) end-model refits run: ``"minibatch"``
-        streams them through the softmax end model's Adam continuation fed
-        by the engine's grow-only covered-feature buffer; ``"lbfgs"`` is
-        the defeat switch keeping the capped warm L-BFGS fit.  Cold
-        backstops are bit-identical full fits either way (ENGINE.md §7).
     seed:
         Seed for all session randomness.
     """
@@ -122,8 +115,6 @@ class MultiClassSession(IncrementalSessionEngine):
         warm_label_iter: int = 3,
         warm_end_iter: int = 15,
         warm_min_train: int = 2000,
-        lazy_proxy: bool = True,
-        warm_end_mode: str = "minibatch",
         seed=None,
     ) -> None:
         self.dataset = dataset
@@ -153,8 +144,6 @@ class MultiClassSession(IncrementalSessionEngine):
             warm_label_iter=warm_label_iter,
             warm_end_iter=warm_end_iter,
             warm_min_train=warm_min_train,
-            lazy_proxy=lazy_proxy,
-            warm_end_mode=warm_end_mode,
         )
 
     # ------------------------------------------------------------------ #
@@ -184,14 +173,6 @@ class MultiClassSession(IncrementalSessionEngine):
             cache=self._selector_cache,
             proxy_provider=self._resolve_proxy,
         )
-
-    def _update_proxy(self) -> None:
-        if self._lazy_proxy_allowed():
-            # Warm refit: defer the refresh to the first selector read
-            # (see ENGINE.md §4).
-            self._mark_proxy_stale()
-        else:
-            self._refresh_proxy()
 
     def _refresh_proxy(self) -> None:
         self.proxy_proba = self.end_model.predict_proba(self.dataset.train.X)

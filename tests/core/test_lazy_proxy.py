@@ -2,12 +2,11 @@
 
 On warm refits the session defers the end-model proxy refresh to the
 first selector read (``SessionState.resolve_proxy``).  The end model does
-not change between the refit and the read, so reading selectors see
-bit-identical proxies to the eager path; selectors that never read the
-proxy skip end-model prediction entirely between cold refits.  Cold
-refits always refresh eagerly, so eager (``lazy_proxy=False``) and lazy
-configurations coincide exactly whenever every refit is cold — the
-backstop the golden-parity suite pins.
+not change between the refit and the read, so the resolved proxy must
+equal a fresh ``end_model.predict_proba(train X)`` after every step —
+the test-side reference these tests hold the deferral to.  Selectors that
+never read the proxy skip end-model prediction entirely between cold
+refits, and cold refits always refresh eagerly.
 """
 
 import numpy as np
@@ -19,15 +18,34 @@ from repro.interactive.basic_selectors import RandomSelector
 from repro.interactive.simulated_user import SimulatedUser
 
 
-def make_session(ds, *, lazy, selector=None, **kwargs):
+def make_session(ds, *, selector=None, **kwargs):
     return DataProgrammingSession(
         ds,
         selector or RandomSelector(),
         SimulatedUser(ds, seed=123),
-        lazy_proxy=lazy,
         seed=42,
         **kwargs,
     )
+
+
+def step_against_reference(session, n_steps):
+    """Step ``session``, checking the resolved proxy after every step.
+
+    The reference is an eager refresh: the current end model's prediction
+    on the train split (and its ±1 threshold).  Returns how many steps
+    ended with the refresh deferred.
+    """
+    deferred = 0
+    X = session.dataset.train.X
+    for _ in range(n_steps):
+        session.step()
+        if not session._end_model_fitted:
+            continue
+        deferred += session._proxy_stale
+        resolved = session._resolve_proxy()
+        np.testing.assert_array_equal(resolved, session.end_model.predict_proba(X))
+        np.testing.assert_array_equal(session.proxy_labels, np.where(resolved >= 0.5, 1, -1))
+    return deferred
 
 
 class CountingEndModel:
@@ -45,46 +63,31 @@ class CountingEndModel:
         self.predict_calls += 1
         return self.inner.predict_proba(X)
 
-    def predict_proba_rows(self, X, rows):
-        return self.inner.predict_proba_rows(X, rows)
-
     def predict(self, X):
         return self.inner.predict(X)
 
 
 class TestLazyProxy:
-    def test_cold_sessions_identical_to_eager(self, tiny_dataset):
-        # Default warm_min_train keeps the tiny dataset fully cold: the
-        # lazy switch must then be a no-op, bit for bit.
-        a = make_session(tiny_dataset, lazy=True).run(10)
-        b = make_session(tiny_dataset, lazy=False).run(10)
-        np.testing.assert_array_equal(a.proxy_proba, b.proxy_proba)
-        np.testing.assert_array_equal(a.proxy_labels, b.proxy_labels)
-        assert not a._proxy_stale
+    def test_cold_sessions_refresh_eagerly(self, tiny_dataset):
+        # Default warm_min_train keeps the tiny dataset fully cold: no
+        # refit may defer, so the proxy is current after every step.
+        session = make_session(tiny_dataset)
+        assert step_against_reference(session, 10) == 0
+        assert session.refit_counts["warm"] == 0
 
-    def test_seu_trajectories_identical_lazy_vs_eager(self, tiny_dataset):
-        # The deferred refresh happens before SEU consumes the proxy and
-        # the end model is unchanged in between, so the full interactive
-        # trajectory must match the eager path exactly — including on the
-        # warm cadence.
-        def run(lazy):
-            return make_session(
-                tiny_dataset,
-                lazy=lazy,
-                selector=SEUSelector(warmup=0),
-                warm_min_train=0,
-                warm_after=2,
-            ).run(12)
-
-        a, b = run(True), run(False)
-        assert [lf.name for lf in a.lfs] == [lf.name for lf in b.lfs]
-        np.testing.assert_array_equal(a.soft_labels, b.soft_labels)
-        assert a.test_score() == b.test_score()
+    def test_warm_cadence_resolves_to_the_eager_reference(self, tiny_dataset):
+        # On the warm cadence with a proxy-reading selector, every
+        # deferred refresh must resolve to exactly the eager values.
+        session = make_session(
+            tiny_dataset,
+            selector=SEUSelector(warmup=0),
+            warm_min_train=0,
+            warm_after=2,
+        )
+        assert step_against_reference(session, 12) > 0
 
     def test_warm_refits_defer_and_resolve_on_read(self, tiny_dataset):
-        session = make_session(
-            tiny_dataset, lazy=True, warm_min_train=0, warm_after=2
-        )
+        session = make_session(tiny_dataset, warm_min_train=0, warm_after=2)
         # Drive step() directly (run() resolves any deferred refresh on
         # exit) so the mid-session deferral is observable.
         for _ in range(12):
@@ -98,7 +101,7 @@ class TestLazyProxy:
         assert not session._proxy_stale
         assert resolved is session.proxy_proba
         assert state.proxy_proba is resolved
-        # Bit-identical to what the eager path would have produced.
+        # Bit-identical to what an eager refresh would have produced.
         np.testing.assert_array_equal(
             resolved, session.end_model.predict_proba(session.dataset.train.X)
         )
@@ -113,36 +116,26 @@ class TestLazyProxy:
     ):
         from repro.endmodel.logistic import SoftLabelLogisticRegression
 
-        def run(lazy):
-            counting = CountingEndModel(SoftLabelLogisticRegression())
-            session = make_session(
-                tiny_dataset,
-                lazy=lazy,
-                warm_min_train=0,
-                warm_after=2,
-                end_model=counting,
-            )
-            session.run(12)
-            return counting.predict_calls, session
-
-        lazy_calls, lazy_session = run(True)
-        eager_calls, _ = run(False)
-        # RandomSelector never reads the proxy: on the lazy path only the
-        # cold refits (plus the run()-exit resolution) refresh it, while
-        # the eager path refreshes every refit.
-        assert eager_calls > lazy_calls
+        counting = CountingEndModel(SoftLabelLogisticRegression())
+        session = make_session(
+            tiny_dataset, warm_min_train=0, warm_after=2, end_model=counting
+        )
+        session.run(12)
+        # RandomSelector never reads the proxy: only the cold refits (plus
+        # the run()-exit resolution) refresh it, never the warm ones.
+        assert session.refit_counts["warm"] > 0
+        assert counting.predict_calls <= session.refit_counts["cold"] + 1
         # run() materializes any deferred refresh before returning, so the
         # public attributes are current at the API boundary.
-        assert not lazy_session._proxy_stale
+        assert not session._proxy_stale
         np.testing.assert_array_equal(
-            lazy_session.proxy_proba,
-            lazy_session.end_model.predict_proba(lazy_session.dataset.train.X),
+            session.proxy_proba,
+            session.end_model.predict_proba(session.dataset.train.X),
         )
 
     def test_seu_selector_resolves_on_select(self, tiny_dataset):
         session = make_session(
             tiny_dataset,
-            lazy=True,
             selector=SEUSelector(warmup=0),
             warm_min_train=0,
             warm_after=2,
@@ -156,7 +149,7 @@ class TestLazyProxy:
         n = tiny_dataset.train.n
         state = SessionState(
             dataset=tiny_dataset,
-            family=make_session(tiny_dataset, lazy=True).family,
+            family=make_session(tiny_dataset).family,
             iteration=0,
             lfs=[],
             L_train=np.zeros((n, 0), dtype=np.int8),
@@ -167,14 +160,3 @@ class TestLazyProxy:
         )
         assert state.proxy_provider is None
         np.testing.assert_array_equal(state.resolve_proxy(), np.full(n, 0.5))
-
-    def test_eager_mode_refreshes_every_refit(self, tiny_dataset):
-        session = make_session(
-            tiny_dataset, lazy=False, warm_min_train=0, warm_after=2
-        )
-        session.run(8)
-        assert not session._proxy_stale
-        np.testing.assert_array_equal(
-            session.proxy_proba,
-            session.end_model.predict_proba(session.dataset.train.X),
-        )

@@ -1,0 +1,76 @@
+"""No defeat switches: each step's code path follows observable inputs.
+
+ENGINE.md §2: the label-model kernel follows the stats handle the caller
+passes, the warm end-model refit follows the end model's capabilities
+and the covered-row gate, and the proxy refresh follows the refit path.
+None of them is a constructor setting, so a knob that forces a second
+code path must not come back.  Each retired knob is pinned here: passing
+it fails at the call, and its module-level constants stay gone.
+"""
+
+import importlib
+
+import pytest
+
+from repro.core.config import NemoConfig
+from repro.core.session import DataProgrammingSession
+from repro.endmodel.logistic import SoftLabelLogisticRegression
+from repro.endmodel.softmax import SoftLabelSoftmaxRegression
+from repro.labelmodel.dawid_skene import DawidSkene
+from repro.labelmodel.metal import MetalLabelModel
+from repro.multiclass.dawid_skene import MCDawidSkeneModel
+from repro.multiclass.session import MultiClassSession
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: MetalLabelModel(cold_path="dense"),
+        lambda: DawidSkene(cold_path="dense"),
+        lambda: MCDawidSkeneModel(n_classes=3, cold_path="dense"),
+    ],
+    ids=["metal", "dawid-skene", "mc-dawid-skene"],
+)
+def test_label_models_take_no_cold_path(make):
+    with pytest.raises(TypeError, match="cold_path"):
+        make()
+
+
+@pytest.mark.parametrize("knob,value", [("warm_end_mode", "lbfgs"), ("lazy_proxy", False)])
+@pytest.mark.parametrize(
+    "session_cls", [DataProgrammingSession, MultiClassSession], ids=["binary", "multiclass"]
+)
+def test_sessions_take_no_routing_knobs(session_cls, knob, value):
+    # Keyword binding fails before the constructor body runs, so the
+    # positional arguments never need to be real.
+    with pytest.raises(TypeError, match=knob):
+        session_cls(None, None, None, **{knob: value})
+
+
+def test_config_takes_no_warm_end_mode():
+    with pytest.raises(TypeError, match="warm_end_mode"):
+        NemoConfig(warm_end_mode="lbfgs")
+
+
+@pytest.mark.parametrize(
+    "end_model_cls",
+    [SoftLabelLogisticRegression, SoftLabelSoftmaxRegression],
+    ids=["logistic", "softmax"],
+)
+def test_end_models_predict_full_matrices_only(end_model_cls):
+    # Row-subset prediction served only the retired eager/lazy proxy
+    # comparison; the proxy is always a full-matrix prediction.
+    assert not hasattr(end_model_cls, "predict_proba_rows")
+
+
+@pytest.mark.parametrize(
+    "module,name",
+    [
+        ("repro.labelmodel.matrix", "COLD_STATS_MIN_ROWS"),
+        ("repro.labelmodel.matrix", "COLD_PATHS"),
+        ("repro.labelmodel.matrix", "resolve_cold_path"),
+        ("repro.core.engine", "WARM_END_MODES"),
+    ],
+)
+def test_routing_constants_are_gone(module, name):
+    assert not hasattr(importlib.import_module(module), name)

@@ -1,19 +1,23 @@
-"""The warm end-model contract (ENGINE.md §7): minibatch vs lbfgs modes.
+"""The warm end-model contract (ENGINE.md §7): minibatch vs capped L-BFGS.
 
-Two sessions differing only in ``warm_end_mode`` are stepped in lockstep
-with a selector that never reads model state, so their LF trajectories,
-votes, and label models coincide by construction.  The contract under
-test: warm (between-backstop) end-model refits may diverge between the
-modes, but at every full backstop the label/end state must be
-bit-identical — the backstop anchor makes each uncapped L-BFGS fit a pure
-function of the backstop inputs, independent of the warm path taken to
-get there.
+Warm (between-backstop) end-model refits run the end model's
+``fit_minibatch`` Adam continuation when it has one, and the capped warm
+L-BFGS fit when it does not.  Two sessions — one with the stock end
+model, one whose end model hides ``fit_minibatch`` — are stepped in
+lockstep with a selector that never reads model state, so their LF
+trajectories, votes, and label models coincide by construction.  The
+contract under test: warm refits may diverge between the two, but at
+every full backstop the label/end state must be bit-identical — the
+backstop anchor makes each uncapped L-BFGS fit a pure function of the
+backstop inputs, independent of the warm optimizer used to get there.
 """
 
 import numpy as np
 import pytest
 
 from repro.core.session import DataProgrammingSession
+from repro.endmodel.logistic import SoftLabelLogisticRegression
+from repro.endmodel.softmax import SoftLabelSoftmaxRegression
 from repro.interactive.basic_selectors import RandomSelector
 from repro.interactive.simulated_user import SimulatedUser
 from repro.multiclass import make_topics_dataset
@@ -21,27 +25,48 @@ from repro.multiclass.selection import MCRandomSelector
 from repro.multiclass.session import MultiClassSession
 from repro.multiclass.simulated_user import MCSimulatedUser
 
+
+def hide_minibatch(cls):
+    """``cls`` with ``fit_minibatch`` hidden from ``hasattr``.
+
+    The engine then routes warm end-model refits to the capped L-BFGS
+    fallback, exactly as for an end model that never had the method.
+    """
+
+    class NoMinibatch(cls):
+        def __getattribute__(self, name):
+            if name == "fit_minibatch":
+                raise AttributeError(name)
+            return super().__getattribute__(name)
+
+    NoMinibatch.__name__ = f"NoMinibatch{cls.__name__}"
+    return NoMinibatch
+
+
+NoMinibatchLogistic = hide_minibatch(SoftLabelLogisticRegression)
+NoMinibatchSoftmax = hide_minibatch(SoftLabelSoftmaxRegression)
+
 N_ITERATIONS = 22
 FULL_REFIT_EVERY = 5
 
 
 @pytest.fixture(scope="module")
 def paired_modes(tiny_dataset):
-    """Step a minibatch-mode and an lbfgs-mode session in lockstep."""
+    """Step a minibatch and an L-BFGS-fallback session in lockstep."""
     ds = tiny_dataset
 
-    def make(mode: str) -> DataProgrammingSession:
+    def make(end_model) -> DataProgrammingSession:
         return DataProgrammingSession(
             ds,
             RandomSelector(),
             SimulatedUser(ds, seed=123),
+            end_model=end_model,
             warm_min_train=0,  # exercise the warm path despite the small dataset
             full_refit_every=FULL_REFIT_EVERY,
-            warm_end_mode=mode,
             seed=42,
         )
 
-    mb, lb = make("minibatch"), make("lbfgs")
+    mb, lb = make(SoftLabelLogisticRegression()), make(NoMinibatchLogistic())
     records = []
     for _ in range(N_ITERATIONS):
         mb.step()
@@ -70,8 +95,11 @@ class TestBackstopBitIdentity:
     def test_minibatch_path_actually_ran(self, paired_modes):
         mb, lb, records = paired_modes
         assert mb.end_model.mb_t_ > 0, "no minibatch refit happened — the test is vacuous"
-        assert lb.end_model.mb_t_ == 0, "lbfgs mode must never take Adam steps"
+        assert lb.end_model.mb_t_ == 0, "the L-BFGS fallback must never take Adam steps"
         assert any(not r["backstop_mb"] for r in records), "expected warm refits"
+        assert mb.end_fit_counts.get("minibatch", 0) > 0
+        assert lb.end_fit_counts.get("warm_capped", 0) > 0
+        assert "minibatch" not in lb.end_fit_counts
 
     def test_backstop_state_bit_identical(self, paired_modes):
         _, _, records = paired_modes
@@ -83,9 +111,9 @@ class TestBackstopBitIdentity:
             assert rec["intercept_mb"] == rec["intercept_lb"]
 
     def test_warm_refits_do_diverge(self, paired_modes):
-        # The modes run genuinely different optimizers between backstops;
-        # if every warm refit coincided bitwise, the minibatch path would
-        # not actually be exercised (or lbfgs mode would be broken).
+        # The sessions run genuinely different optimizers between
+        # backstops; if every warm refit coincided bitwise, the minibatch
+        # path would not actually be exercised (or the fallback is broken).
         _, _, records = paired_modes
         warm = [r for r in records if not r["backstop_mb"] and r["coef_mb"] is not None]
         assert any(not np.array_equal(r["coef_mb"], r["coef_lb"]) for r in warm)
@@ -93,31 +121,33 @@ class TestBackstopBitIdentity:
     def test_covered_buffer_serves_minibatch_refits(self, paired_modes):
         mb, lb, _ = paired_modes
         buf = mb._covered_buf
-        assert buf is not None, "minibatch mode should have built the covered buffer"
+        assert buf is not None, "minibatch refits should have built the covered buffer"
         assert buf.size > 0
         X = mb.dataset.train.X
         np.testing.assert_array_equal(
             np.asarray(buf.matrix().todense()), np.asarray(X[buf.rows].todense())
         )
-        assert lb._covered_buf is None, "lbfgs mode never touches the buffer"
+        assert lb._covered_buf is None, "the L-BFGS fallback never touches the buffer"
 
 
 class TestMulticlassBackstopBitIdentity:
     def test_backstop_state_bit_identical(self):
         ds = make_topics_dataset(n_docs=500, seed=0, vocab_scale=6)
 
-        def make(mode: str) -> MultiClassSession:
+        def make(end_model) -> MultiClassSession:
             return MultiClassSession(
                 ds,
                 MCRandomSelector(),
                 MCSimulatedUser(ds, seed=123),
+                end_model=end_model,
                 warm_min_train=0,
                 full_refit_every=FULL_REFIT_EVERY,
-                warm_end_mode=mode,
                 seed=42,
             )
 
-        mb, lb = make("minibatch"), make("lbfgs")
+        K = ds.n_classes
+        mb = make(SoftLabelSoftmaxRegression(n_classes=K))
+        lb = make(NoMinibatchSoftmax(n_classes=K))
         n_backstops = 0
         for _ in range(N_ITERATIONS):
             mb.step()
@@ -130,18 +160,10 @@ class TestMulticlassBackstopBitIdentity:
                 np.testing.assert_array_equal(mb.end_model.intercept_, lb.end_model.intercept_)
         assert n_backstops >= 3
         assert mb.end_model.mb_t_ > 0, "the softmax minibatch path never ran"
+        assert lb.end_model.mb_t_ == 0
 
 
-class TestWarmEndModeConfiguration:
-    def test_rejects_unknown_mode(self, tiny_dataset):
-        with pytest.raises(ValueError, match="warm_end_mode"):
-            DataProgrammingSession(
-                tiny_dataset,
-                RandomSelector(),
-                SimulatedUser(tiny_dataset, seed=0),
-                warm_end_mode="sgd",
-            )
-
+class TestWarmEndRouting:
     def test_exact_configurations_never_anchor_or_buffer(self, tiny_dataset):
         # warm_min_train above the split size keeps every refit a full
         # backstop — the historical exact path, which must stay untouched.

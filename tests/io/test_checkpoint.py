@@ -3,15 +3,20 @@
 The resume contract (ENGINE.md §5): a session restored from a checkpoint
 continues **bit-identically** to the uninterrupted run — same posteriors,
 same proxies, same selections, same RNG stream.  Pinned here for every
-engine family (binary + multiclass, MeTaL + Dawid–Skene aggregators,
-``lazy_proxy`` on and off), with the warm/cold cadence tightened so the
-snapshot lands mid-warm-cycle (the hardest point to restore).
+engine family (binary + multiclass, MeTaL + Dawid–Skene aggregators),
+with the warm/cold cadence tightened so the snapshot lands mid-warm-cycle
+(the hardest point to restore: the proxy refresh is still deferred) and,
+separately, right after a cold backstop.  The uninterrupted reference run also
+resolves its proxy after every step and checks it against a fresh
+``end_model.predict_proba(train X)``, so the deferred proxy refresh of
+the restored run is held to the eager values.
 """
 
 import numpy as np
 import pytest
 
 from repro.core.session import DataProgrammingSession
+from repro.endmodel.logistic import SoftLabelLogisticRegression
 from repro.core.seu import SEUSelector
 from repro.data import load_dataset
 from repro.interactive.simulated_user import SimulatedUser
@@ -28,11 +33,13 @@ from repro.multiclass import make_topics_dataset
 from repro.multiclass.session import MultiClassSession
 from repro.multiclass.seu import MCSEUSelector
 from repro.multiclass.simulated_user import MCSimulatedUser
+from tests.core.test_warm_end_mode import NoMinibatchLogistic
 
 #: Tight cadence so warm refits (and mid-cycle snapshots) happen on tiny data.
 ENGINE_KWARGS = dict(warm_min_train=0, warm_after=2, full_refit_every=5)
 
 SNAPSHOT_AT = 7  # mid warm-cycle: not a cold-backstop iteration
+COLD_SNAPSHOT_AT = 6  # the step whose refit is the first cold backstop
 TOTAL_ITERATIONS = 12
 
 
@@ -46,7 +53,7 @@ def mc_dataset():
     return make_topics_dataset(n_docs=400, seed=0, vocab_scale=8)
 
 
-def _binary_session(dataset, label_model: str, lazy_proxy: bool):
+def _binary_session(dataset, label_model: str):
     factory = None
     if label_model == "dawid-skene":
         prior = dataset.label_prior
@@ -59,18 +66,16 @@ def _binary_session(dataset, label_model: str, lazy_proxy: bool):
         SEUSelector(),
         SimulatedUser(dataset, seed=11),
         label_model_factory=factory,
-        lazy_proxy=lazy_proxy,
         seed=3,
         **ENGINE_KWARGS,
     )
 
 
-def _mc_session(dataset, lazy_proxy: bool):
+def _mc_session(dataset):
     return MultiClassSession(
         dataset,
         MCSEUSelector(),
         MCSimulatedUser(dataset, seed=11),
-        lazy_proxy=lazy_proxy,
         seed=3,
         **ENGINE_KWARGS,
     )
@@ -83,64 +88,95 @@ FAMILIES = [
 ]
 
 
-def _build(kind: str, label_model: str, lazy_proxy: bool, binary_ds, mc_ds):
+def _build(kind: str, label_model: str, binary_ds, mc_ds):
     if kind == "binary":
-        return _binary_session(binary_ds, label_model, lazy_proxy)
-    return _mc_session(mc_ds, lazy_proxy)
+        return _binary_session(binary_ds, label_model)
+    return _mc_session(mc_ds)
+
+
+def _step_with_eager_reference(session):
+    """Step, then hold the resolved proxy to a fresh end-model prediction."""
+    session.step()
+    if session._end_model_fitted:
+        np.testing.assert_array_equal(
+            session._resolve_proxy(),
+            session.end_model.predict_proba(session.dataset.train.X),
+        )
+
+
+def _assert_round_trip_bit_identical(
+    kind, label_model, binary_ds, mc_ds, tmp_path, snapshot_at, proxy_stale
+):
+    # Uninterrupted reference run, proxy checked after every step.
+    ref = _build(kind, label_model, binary_ds, mc_ds)
+    for _ in range(TOTAL_ITERATIONS):
+        _step_with_eager_reference(ref)
+
+    # Same configuration, snapshotted mid-run ...
+    first = _build(kind, label_model, binary_ds, mc_ds)
+    for _ in range(snapshot_at):
+        first.step()
+    assert first._proxy_stale is proxy_stale, "the snapshot point missed its refit path"
+    path = save_session_checkpoint(
+        first, tmp_path / "session.ckpt.npz", extra={"at": snapshot_at}
+    )
+
+    # ... restored into a fresh session and continued.
+    restored = _build(kind, label_model, binary_ds, mc_ds)
+    extra = load_session_checkpoint(restored, path)
+    assert extra == {"at": snapshot_at}
+    for _ in range(TOTAL_ITERATIONS - snapshot_at):
+        restored.step()
+    restored._resolve_proxy()
+    np.testing.assert_array_equal(ref.L_train, restored.L_train)
+    np.testing.assert_array_equal(ref.L_valid, restored.L_valid)
+    np.testing.assert_array_equal(ref.soft_labels, restored.soft_labels)
+    np.testing.assert_array_equal(ref.entropies, restored.entropies)
+    np.testing.assert_array_equal(ref.proxy_proba, restored.proxy_proba)
+    assert ref.selected == restored.selected
+    assert ref.iteration == restored.iteration
+    assert ref._refit_count == restored._refit_count
+    assert [lf.primitive for lf in ref.lfs] == [lf.primitive for lf in restored.lfs]
+    assert ref.test_score() == restored.test_score()
+    # Continuation consumed the RNG streams identically.
+    assert ref.rng.bit_generator.state == restored.rng.bit_generator.state
+    assert (
+        ref.user.rng.bit_generator.state == restored.user.rng.bit_generator.state
+    )
 
 
 class TestRoundTripAllFamilies:
-    @pytest.mark.parametrize("lazy_proxy", [True, False], ids=["lazy", "eager"])
     @pytest.mark.parametrize(
         "name,kind,label_model", FAMILIES, ids=[f[0] for f in FAMILIES]
     )
     def test_restored_continuation_is_bit_identical(
-        self, name, kind, label_model, lazy_proxy, binary_dataset, mc_dataset, tmp_path
+        self, name, kind, label_model, binary_dataset, mc_dataset, tmp_path
     ):
-        # Uninterrupted reference run.
-        ref = _build(kind, label_model, lazy_proxy, binary_dataset, mc_dataset)
-        for _ in range(TOTAL_ITERATIONS):
-            ref.step()
-        ref._resolve_proxy()
-
-        # Same configuration, snapshotted mid-run ...
-        first = _build(kind, label_model, lazy_proxy, binary_dataset, mc_dataset)
-        for _ in range(SNAPSHOT_AT):
-            first.step()
-        path = save_session_checkpoint(
-            first, tmp_path / "session.ckpt.npz", extra={"at": SNAPSHOT_AT}
+        # Mid warm cycle: the snapshot materializes a deferred proxy refresh.
+        _assert_round_trip_bit_identical(
+            kind, label_model, binary_dataset, mc_dataset, tmp_path,
+            snapshot_at=SNAPSHOT_AT, proxy_stale=True,
         )
 
-        # ... restored into a fresh session and continued.
-        restored = _build(kind, label_model, lazy_proxy, binary_dataset, mc_dataset)
-        extra = load_session_checkpoint(restored, path)
-        assert extra == {"at": SNAPSHOT_AT}
-        for _ in range(TOTAL_ITERATIONS - SNAPSHOT_AT):
-            restored.step()
-        restored._resolve_proxy()
-
-        np.testing.assert_array_equal(ref.L_train, restored.L_train)
-        np.testing.assert_array_equal(ref.L_valid, restored.L_valid)
-        np.testing.assert_array_equal(ref.soft_labels, restored.soft_labels)
-        np.testing.assert_array_equal(ref.entropies, restored.entropies)
-        np.testing.assert_array_equal(ref.proxy_proba, restored.proxy_proba)
-        assert ref.selected == restored.selected
-        assert ref.iteration == restored.iteration
-        assert ref._refit_count == restored._refit_count
-        assert [lf.primitive for lf in ref.lfs] == [lf.primitive for lf in restored.lfs]
-        assert ref.test_score() == restored.test_score()
-        # Continuation consumed the RNG streams identically.
-        assert ref.rng.bit_generator.state == restored.rng.bit_generator.state
-        assert (
-            ref.user.rng.bit_generator.state == restored.user.rng.bit_generator.state
+    @pytest.mark.parametrize(
+        "name,kind,label_model", FAMILIES, ids=[f[0] for f in FAMILIES]
+    )
+    def test_snapshot_right_after_a_cold_backstop(
+        self, name, kind, label_model, binary_dataset, mc_dataset, tmp_path
+    ):
+        # The cold backstop already refreshed the proxy; the restored
+        # session must take the next refit warm, as the original does.
+        _assert_round_trip_bit_identical(
+            kind, label_model, binary_dataset, mc_dataset, tmp_path,
+            snapshot_at=COLD_SNAPSHOT_AT, proxy_stale=False,
         )
 
     def test_snapshot_does_not_perturb_the_live_session(
         self, binary_dataset, tmp_path
     ):
         # Taking a checkpoint mid-run must not change the run's outcome.
-        plain = _binary_session(binary_dataset, "metal", True)
-        snapped = _binary_session(binary_dataset, "metal", True)
+        plain = _binary_session(binary_dataset, "metal")
+        snapped = _binary_session(binary_dataset, "metal")
         for it in range(TOTAL_ITERATIONS):
             plain.step()
             snapped.step()
@@ -154,26 +190,32 @@ class TestRoundTripAllFamilies:
 
 
 class TestWarmMinibatchRoundTrip:
-    """Mid-warm-cycle restore under ``warm_end_mode`` (ENGINE.md §7).
+    """Mid-warm-cycle restore of warm end-model refits (ENGINE.md §7).
 
-    The generic family round-trips above already run with the default
-    ``"minibatch"`` mode; these tests make the coverage non-vacuous: the
-    snapshot point must land with live Adam state, a populated covered
-    buffer, and a captured backstop anchor — and all of it must continue
-    bit-identically after restore.  The ``"lbfgs"`` defeat switch gets
-    its own round-trip.
+    The generic family round-trips above already run minibatch warm
+    refits; these tests make the coverage non-vacuous: the snapshot point
+    must land with live Adam state, a populated covered buffer, and a
+    captured backstop anchor — and all of it must continue bit-identically
+    after restore.  An end model without ``fit_minibatch`` (warm refits on
+    the capped L-BFGS fallback) gets its own round-trip.
     """
 
-    @pytest.mark.parametrize("warm_end_mode", ["minibatch", "lbfgs"])
+    @pytest.mark.parametrize(
+        "end_model_cls",
+        [SoftLabelLogisticRegression, NoMinibatchLogistic],
+        ids=["minibatch", "lbfgs"],
+    )
     def test_mid_warm_cycle_restore_continues_bit_identically(
-        self, binary_dataset, tmp_path, warm_end_mode
+        self, binary_dataset, tmp_path, end_model_cls
     ):
+        minibatch = end_model_cls is SoftLabelLogisticRegression
+
         def build():
             return DataProgrammingSession(
                 binary_dataset,
                 SEUSelector(),
                 SimulatedUser(binary_dataset, seed=11),
-                warm_end_mode=warm_end_mode,
+                end_model=end_model_cls(),
                 seed=3,
                 **ENGINE_KWARGS,
             )
@@ -186,7 +228,7 @@ class TestWarmMinibatchRoundTrip:
         first = build()
         for _ in range(SNAPSHOT_AT):
             first.step()
-        if warm_end_mode == "minibatch":
+        if minibatch:
             # The snapshot point is genuinely mid-warm-cycle: Adam has
             # stepped, the covered buffer exists, the anchor is set.
             assert first.end_model.mb_t_ > 0
@@ -197,7 +239,7 @@ class TestWarmMinibatchRoundTrip:
 
         restored = build()
         load_session_checkpoint(restored, path)
-        if warm_end_mode == "minibatch":
+        if minibatch:
             assert restored.end_model.mb_t_ == first.end_model.mb_t_
             assert restored.end_model.mb_rng_state_ == first.end_model.mb_rng_state_
             np.testing.assert_array_equal(
@@ -249,12 +291,12 @@ class TestFailClosedLoading:
     def test_npz_without_session_payload(self, tmp_path, binary_dataset):
         path = tmp_path / "foreign.ckpt.npz"
         save_checkpoint(path, {"something": np.arange(3)})
-        session = _binary_session(binary_dataset, "metal", True)
+        session = _binary_session(binary_dataset, "metal")
         with pytest.raises(CheckpointError, match="session snapshot"):
             load_session_checkpoint(session, path)
 
     def test_wrong_dataset_rejected(self, binary_dataset, tmp_path):
-        session = _binary_session(binary_dataset, "metal", True)
+        session = _binary_session(binary_dataset, "metal")
         for _ in range(4):
             session.step()
         path = save_session_checkpoint(session, tmp_path / "yt.ckpt.npz")
@@ -266,18 +308,18 @@ class TestFailClosedLoading:
             load_session_checkpoint(target, path)
 
     def test_wrong_engine_class_rejected(self, binary_dataset, mc_dataset, tmp_path):
-        session = _binary_session(binary_dataset, "metal", True)
+        session = _binary_session(binary_dataset, "metal")
         path = save_session_checkpoint(session, tmp_path / "bin.ckpt.npz")
-        target = _mc_session(mc_dataset, True)
+        target = _mc_session(mc_dataset)
         with pytest.raises(CheckpointError):
             load_session_checkpoint(target, path)
 
     def test_wrong_label_model_family_rejected(self, binary_dataset, tmp_path):
-        session = _binary_session(binary_dataset, "metal", True)
+        session = _binary_session(binary_dataset, "metal")
         for _ in range(4):
             session.step()
         path = save_session_checkpoint(session, tmp_path / "metal.ckpt.npz")
-        target = _binary_session(binary_dataset, "dawid-skene", True)
+        target = _binary_session(binary_dataset, "dawid-skene")
         with pytest.raises(CheckpointError):
             load_session_checkpoint(target, path)
 

@@ -1,35 +1,42 @@
-"""Sparse cold backstops: O(nnz) EM is bit-identical to the dense arithmetic.
+"""Sparse cold fits: O(nnz) EM agrees with the dense reference arithmetic.
 
-ENGINE.md §10's contract has two halves, tested here over randomized
-sparse vote matrices spanning n, m, K, coverage, and one-sided vote sets:
+ENGINE.md §10's contract, tested here over randomized sparse vote matrices
+spanning n, m, K, coverage, and one-sided vote sets:
 
-* **Handle-source parity (byte-equal).**  Under ``cold_path="stats"`` a
-  cold fit that builds its own :class:`ColumnStats` handle from the dense
-  matrix and a cold fit handed the live engine handle (grown by appends)
-  produce *byte-identical* fitted state and posteriors — the structure
-  identity contract: identical per-column structure ⇒ identical flat
-  entry arrays ⇒ identical gather/segment-sum results.
-* **Dense oracle (allclose).**  ``cold_path="stats"`` agrees with the
-  preserved legacy arithmetic ``cold_path="dense"`` to float tolerance
-  (BLAS/refactored summation orders differ, so byte equality is not
-  promised *across* paths — only within one).
-
-Plus the ``cold_path="auto"`` routing threshold that keeps small-n fits
-(all pinned goldens) on the historical dense bits.
+* **Handle-source parity (byte-equal).**  A cold fit that builds its own
+  :class:`ColumnStats` handle from the dense matrix and a cold fit handed
+  the live engine handle (grown by appends) produce *byte-identical*
+  fitted state, and so do their stats posteriors — the structure identity
+  contract: identical per-column structure ⇒ identical flat entry arrays
+  ⇒ identical gather/segment-sum results.
+* **Posterior kernel follows the handle (allclose).**  ``predict_proba``
+  without a handle runs the dense posterior; with one it runs the table
+  kernel.  The two agree to float tolerance, not bitwise.
+* **Dense oracle (allclose).**  The stats fits agree with the dense EM of
+  ``benchmarks/dense_reference.py`` to float tolerance (summation orders
+  differ, so byte equality is not promised across kernels).
 """
 
 import numpy as np
 import pytest
 
-from repro.labelmodel.dawid_skene import DawidSkene
-from repro.labelmodel.matrix import (
-    COLD_STATS_MIN_ROWS,
-    VoteMatrix,
-    resolve_cold_path,
+from benchmarks.dense_reference import (
+    DenseDawidSkene,
+    DenseMCDawidSkeneModel,
+    DenseMetalLabelModel,
 )
+from repro.labelmodel.dawid_skene import DawidSkene
+from repro.labelmodel.matrix import VoteMatrix
 from repro.labelmodel.metal import MetalLabelModel
-from repro.multiclass.matrix import MC_ABSTAIN
 from repro.multiclass.dawid_skene import MCDawidSkeneModel
+from repro.multiclass.matrix import MC_ABSTAIN
+
+#: The dense reference model of each production label model.
+DENSE_REFERENCE = {
+    MetalLabelModel: DenseMetalLabelModel,
+    DawidSkene: DenseDawidSkene,
+    MCDawidSkeneModel: DenseMCDawidSkeneModel,
+}
 
 
 def planted_binary(rng, n, m, p_fire=0.4, acc=0.8, one_sided=()):
@@ -102,6 +109,14 @@ def _assert_byte_equal_state(a, b):
             assert va == vb, key
 
 
+def _assert_posteriors(model, L, vm):
+    """Stats posteriors byte-equal across handle sources; dense allclose."""
+    built = VoteMatrix.from_dense(L.copy(), abstain=vm.abstain)
+    handed = model.predict_proba(vm.values, stats=vm.stats)
+    assert model.predict_proba(built.values, stats=built.stats).tobytes() == handed.tobytes()
+    np.testing.assert_allclose(model.predict_proba(L.copy()), handed, rtol=1e-9, atol=1e-12)
+
+
 class TestHandleSourceParityByteEqual:
     @pytest.mark.parametrize("seed,n,m,p_fire,one_sided", BINARY_CASES)
     @pytest.mark.parametrize("model_cls", [MetalLabelModel, DawidSkene])
@@ -110,13 +125,11 @@ class TestHandleSourceParityByteEqual:
         L = planted_binary(rng, n, m, p_fire=p_fire, one_sided=one_sided)
         vm = appended_matrix(L, abstain=0)
 
-        self_built = model_cls(cold_path="stats").fit(L.copy())
-        handed = model_cls(cold_path="stats").fit(vm.values, stats=vm.stats)
+        self_built = model_cls().fit(L.copy())
+        handed = model_cls().fit(vm.values, stats=vm.stats)
 
         _assert_byte_equal_state(self_built, handed)
-        pa = self_built.predict_proba(L.copy())
-        pb = handed.predict_proba(vm.values, stats=vm.stats)
-        assert pa.tobytes() == pb.tobytes()
+        _assert_posteriors(handed, L, vm)
 
     @pytest.mark.parametrize("seed,n,m,K,p_fire,one_sided", MC_CASES)
     def test_mc_cold_fit(self, seed, n, m, K, p_fire, one_sided):
@@ -124,15 +137,11 @@ class TestHandleSourceParityByteEqual:
         L = planted_mc(rng, n, m, K, p_fire=p_fire, one_sided=one_sided)
         vm = appended_matrix(L, abstain=MC_ABSTAIN)
 
-        self_built = MCDawidSkeneModel(n_classes=K, cold_path="stats").fit(L.copy())
-        handed = MCDawidSkeneModel(n_classes=K, cold_path="stats").fit(
-            vm.values, stats=vm.stats
-        )
+        self_built = MCDawidSkeneModel(n_classes=K).fit(L.copy())
+        handed = MCDawidSkeneModel(n_classes=K).fit(vm.values, stats=vm.stats)
 
         _assert_byte_equal_state(self_built, handed)
-        pa = self_built.predict_proba(L.copy())
-        pb = handed.predict_proba(vm.values, stats=vm.stats)
-        assert pa.tobytes() == pb.tobytes()
+        _assert_posteriors(handed, L, vm)
 
 
 class TestDenseOracle:
@@ -142,8 +151,8 @@ class TestDenseOracle:
         rng = np.random.default_rng(seed)
         L = planted_binary(rng, n, m, p_fire=p_fire, one_sided=one_sided)
 
-        sparse = model_cls(cold_path="stats").fit(L.copy())
-        dense = model_cls(cold_path="dense").fit(L.copy())
+        sparse = model_cls().fit(L.copy())
+        dense = DENSE_REFERENCE[model_cls]().fit(L.copy())
 
         assert sparse.converged_ == dense.converged_
         assert sparse.em_iterations_ == dense.em_iterations_
@@ -155,8 +164,9 @@ class TestDenseOracle:
                 assert va == pytest.approx(vb, rel=1e-9, abs=1e-12), key
             else:
                 assert va == vb, key
+        vm = appended_matrix(L, abstain=0)
         np.testing.assert_allclose(
-            sparse.predict_proba(L.copy()),
+            sparse.predict_proba(vm.values, stats=vm.stats),
             dense.predict_proba(L.copy()),
             rtol=1e-9,
             atol=1e-12,
@@ -167,56 +177,18 @@ class TestDenseOracle:
         rng = np.random.default_rng(seed)
         L = planted_mc(rng, n, m, K, p_fire=p_fire, one_sided=one_sided)
 
-        sparse = MCDawidSkeneModel(n_classes=K, cold_path="stats").fit(L.copy())
-        dense = MCDawidSkeneModel(n_classes=K, cold_path="dense").fit(L.copy())
+        sparse = MCDawidSkeneModel(n_classes=K).fit(L.copy())
+        dense = DenseMCDawidSkeneModel(n_classes=K).fit(L.copy())
 
         assert sparse.converged_ == dense.converged_
         assert sparse.em_iterations_ == dense.em_iterations_
         np.testing.assert_allclose(sparse.confusions_, dense.confusions_, rtol=1e-9, atol=1e-12)
         np.testing.assert_allclose(sparse.propensities_, dense.propensities_, rtol=1e-9, atol=1e-12)
         np.testing.assert_allclose(sparse.priors_, dense.priors_, rtol=1e-9, atol=1e-12)
+        vm = appended_matrix(L, abstain=MC_ABSTAIN)
         np.testing.assert_allclose(
-            sparse.predict_proba(L.copy()),
+            sparse.predict_proba(vm.values, stats=vm.stats),
             dense.predict_proba(L.copy()),
             rtol=1e-9,
             atol=1e-12,
         )
-
-
-class TestAutoRouting:
-    def test_threshold(self):
-        assert resolve_cold_path("auto", COLD_STATS_MIN_ROWS - 1) == "dense"
-        assert resolve_cold_path("auto", COLD_STATS_MIN_ROWS) == "stats"
-        assert resolve_cold_path("stats", 1) == "stats"
-        assert resolve_cold_path("dense", 10**9) == "dense"
-        with pytest.raises(ValueError, match="cold_path"):
-            resolve_cold_path("sparse", 100)
-
-    def test_small_n_auto_preserves_dense_bits(self):
-        # Below the threshold "auto" must reproduce the legacy dense fit
-        # byte-for-byte — this is what keeps the pinned goldens green.
-        rng = np.random.default_rng(7)
-        L = planted_binary(rng, 500, 8)
-        auto = MetalLabelModel().fit(L.copy())
-        dense = MetalLabelModel(cold_path="dense").fit(L.copy())
-        _assert_byte_equal_state(auto, dense)
-        assert (
-            auto.predict_proba(L.copy()).tobytes()
-            == dense.predict_proba(L.copy()).tobytes()
-        )
-
-    def test_large_n_auto_takes_stats_path(self):
-        rng = np.random.default_rng(8)
-        L = planted_binary(rng, COLD_STATS_MIN_ROWS + 100, 6, p_fire=0.1)
-        auto = MetalLabelModel().fit(L.copy())
-        stats = MetalLabelModel(cold_path="stats").fit(L.copy())
-        _assert_byte_equal_state(auto, stats)
-
-    def test_invalid_cold_path_rejected_at_construction(self):
-        for cls, kwargs in [
-            (MetalLabelModel, {}),
-            (DawidSkene, {}),
-            (MCDawidSkeneModel, {"n_classes": 3}),
-        ]:
-            with pytest.raises(ValueError, match="cold_path"):
-                cls(cold_path="sprase", **kwargs)

@@ -44,37 +44,65 @@ def _mc_fixture(K=3):
     return vm
 
 
-@pytest.mark.parametrize("cold_path", ["auto", "stats", "dense"])
+def _call(entry, model, vm, previous):
+    if entry == "fit":
+        model.fit(vm.values, stats=vm.stats)
+    elif entry == "fit_warm":
+        model.fit_warm(vm.values, previous, max_iter=2, stats=vm.stats)
+    else:
+        model.predict_proba(vm.values, stats=vm.stats)
+
+
+ENTRY_POINTS = ["fit", "fit_warm", "predict_proba"]
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
 @pytest.mark.parametrize("model_cls", [MetalLabelModel, DawidSkene])
-def test_binary_entry_points_skip_validation(monkeypatch, model_cls, cold_path):
+def test_binary_entry_points_skip_validation(monkeypatch, model_cls, entry):
     vm = _binary_fixture()
-    previous = model_cls(cold_path=cold_path).fit(vm.values.copy())
+    previous = model_cls().fit(vm.values.copy())
+    model = model_cls().fit(vm.values.copy()) if entry == "predict_proba" else model_cls()
 
     _poison(monkeypatch, model_cls)
-    model = model_cls(cold_path=cold_path)
-    model.fit(vm.values, stats=vm.stats)
-    model.fit_warm(vm.values, previous, max_iter=2, stats=vm.stats)
-    model.predict_proba(vm.values, stats=vm.stats)
+    _call(entry, model, vm, previous)
 
 
-@pytest.mark.parametrize("cold_path", ["auto", "stats", "dense"])
-def test_mc_entry_points_skip_validation(monkeypatch, cold_path):
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+def test_mc_entry_points_skip_validation(monkeypatch, entry):
     vm = _mc_fixture()
-    previous = MCDawidSkeneModel(n_classes=3, cold_path=cold_path).fit(vm.values.copy())
+    previous = MCDawidSkeneModel(n_classes=3).fit(vm.values.copy())
+    model = (
+        MCDawidSkeneModel(n_classes=3).fit(vm.values.copy())
+        if entry == "predict_proba"
+        else MCDawidSkeneModel(n_classes=3)
+    )
 
     _poison(monkeypatch, MCDawidSkeneModel)
-    model = MCDawidSkeneModel(n_classes=3, cold_path=cold_path)
-    model.fit(vm.values, stats=vm.stats)
-    model.fit_warm(vm.values, previous, max_iter=2, stats=vm.stats)
-    model.predict_proba(vm.values, stats=vm.stats)
+    _call(entry, model, vm, previous)
 
 
-def test_validator_still_runs_without_stats(monkeypatch):
-    vm = _binary_fixture()
-    _poison(monkeypatch, MetalLabelModel)
-    model = MetalLabelModel()
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+@pytest.mark.parametrize(
+    "make,fixture",
+    [
+        (MetalLabelModel, _binary_fixture),
+        (DawidSkene, _binary_fixture),
+        (lambda: MCDawidSkeneModel(n_classes=3), _mc_fixture),
+    ],
+    ids=["MetalLabelModel", "DawidSkene", "MCDawidSkeneModel"],
+)
+def test_validator_still_runs_without_stats(monkeypatch, make, fixture, entry):
+    vm = fixture()
+    model = make().fit(vm.values.copy())
+    L = vm.values.copy()
+    _poison(monkeypatch, type(model))
     with pytest.raises(_ValidatorPoisoned):
-        model.fit(vm.values.copy())
+        if entry == "fit":
+            make().fit(L)
+        elif entry == "fit_warm":
+            make().fit_warm(L, model, max_iter=2)
+        else:
+            model.predict_proba(L)
 
 
 def test_mismatched_handle_fails_loudly():
