@@ -37,6 +37,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from repro.labelmodel import matrix as vote_matrix
+
 
 class VoteConvention(ABC):
     """Everything the interaction layer needs to know about a label space.
@@ -71,31 +73,21 @@ class VoteConvention(ABC):
                 f"(expected one of {self.labels})"
             ) from None
 
-    @abstractmethod
     def validate_matrix(self, L: np.ndarray) -> np.ndarray:
         """Check that ``L`` holds only this convention's vote values; int8."""
+        return vote_matrix.validate_label_matrix(L, self.abstain, self.labels)
 
     def coverage_mask(self, L: np.ndarray) -> np.ndarray:
         """Boolean ``(n,)`` mask of examples with ≥1 non-abstain vote."""
-        return (np.asarray(L) != self.abstain).any(axis=1)
+        return vote_matrix.coverage_mask(L, self.abstain)
 
     def abstain_counts(self, L: np.ndarray) -> np.ndarray:
         """Per-example number of abstaining LFs."""
-        return (np.asarray(L) == self.abstain).sum(axis=1)
+        return vote_matrix.abstain_counts(L, self.abstain)
 
     def conflict_counts(self, L: np.ndarray) -> np.ndarray:
-        """Per-example number of conflicting vote *pairs*.
-
-        With per-label counts ``c_v`` on an example, the number of
-        unordered pairs of votes naming different labels is
-        ``(T² − Σ c_v²) / 2`` where ``T = Σ c_v`` — for two labels this is
-        the classic ``p · q``.
-        """
-        L = np.asarray(L)
-        counts = np.stack([(L == v).sum(axis=1) for v in self.labels], axis=1)
-        total = counts.sum(axis=1)
-        same_pairs = (counts**2).sum(axis=1)
-        return ((total**2 - same_pairs) // 2).astype(int)
+        """Per-example number of conflicting vote *pairs* (``p · q`` for K = 2)."""
+        return vote_matrix.conflict_counts(L, self.labels)
 
     # ------------------------------------------------------------------ #
     # posterior helpers
@@ -196,11 +188,6 @@ class BinaryVoteConvention(VoteConvention):
     n_classes = 2
     labels = (1, -1)
 
-    def validate_matrix(self, L: np.ndarray) -> np.ndarray:
-        from repro.labelmodel.matrix import validate_label_matrix
-
-        return validate_label_matrix(L)
-
     def posterior_entropy(self, proba: np.ndarray) -> np.ndarray:
         from repro.labelmodel.base import posterior_entropy
 
@@ -281,9 +268,7 @@ class MulticlassVoteConvention(VoteConvention):
     abstain = -1
 
     def __init__(self, n_classes: int) -> None:
-        if n_classes < 2:
-            raise ValueError(f"n_classes must be >= 2, got {n_classes}")
-        self.n_classes = int(n_classes)
+        self.n_classes = vote_matrix.check_n_classes(n_classes)
         self.labels = tuple(range(self.n_classes))
 
     def label_index(self, label: int) -> int:
@@ -294,11 +279,6 @@ class MulticlassVoteConvention(VoteConvention):
                 f"(expected one of {self.labels})"
             )
         return label
-
-    def validate_matrix(self, L: np.ndarray) -> np.ndarray:
-        from repro.multiclass.matrix import validate_mc_label_matrix
-
-        return validate_mc_label_matrix(L, self.n_classes)
 
     def posterior_entropy(self, proba: np.ndarray) -> np.ndarray:
         from repro.multiclass.base import posterior_entropy_mc

@@ -67,7 +67,9 @@ class LFFamily:
 
     Wraps the primitive names and the train-split incidence matrix; provides
     candidate enumeration for the simulated user and aggregate statistics
-    for SEU.
+    for SEU.  The primitive bookkeeping does not depend on the label space;
+    :meth:`make` and :meth:`empirical_accuracies` are the binary parts, which
+    :class:`repro.multiclass.lf.MultiClassLFFamily` replaces for K classes.
 
     Parameters
     ----------

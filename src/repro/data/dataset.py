@@ -57,8 +57,41 @@ class Split:
         return cached
 
 
+class SplitAccessors:
+    """Split and primitive-domain accessors shared by the dataset containers.
+
+    Mixed into :class:`FeaturizedDataset` and
+    :class:`repro.multiclass.data.MCFeaturizedDataset`, which both carry
+    ``splits`` and ``primitive_names``.
+    """
+
+    @property
+    def train(self) -> Split:
+        return self.splits["train"]
+
+    @property
+    def valid(self) -> Split:
+        return self.splits["valid"]
+
+    @property
+    def test(self) -> Split:
+        return self.splits["test"]
+
+    @property
+    def n_primitives(self) -> int:
+        return len(self.primitive_names)
+
+    def primitive_id(self, token: str) -> int:
+        """Index of ``token`` in the primitive domain; raises if absent."""
+        try:
+            return self._primitive_index[token]
+        except AttributeError:
+            self._primitive_index = {t: i for i, t in enumerate(self.primitive_names)}
+            return self._primitive_index[token]
+
+
 @dataclass
-class FeaturizedDataset:
+class FeaturizedDataset(SplitAccessors):
     """A fully-prepared dataset ready for interactive data programming.
 
     Attributes
@@ -87,31 +120,6 @@ class FeaturizedDataset:
     lexicon: dict[str, int] = field(default_factory=dict)
     label_prior: float = 0.5
     cluster_names: list[str] = field(default_factory=list)
-
-    # -- convenience accessors ---------------------------------------- #
-    @property
-    def train(self) -> Split:
-        return self.splits["train"]
-
-    @property
-    def valid(self) -> Split:
-        return self.splits["valid"]
-
-    @property
-    def test(self) -> Split:
-        return self.splits["test"]
-
-    @property
-    def n_primitives(self) -> int:
-        return len(self.primitive_names)
-
-    def primitive_id(self, token: str) -> int:
-        """Index of ``token`` in the primitive domain; raises if absent."""
-        try:
-            return self._primitive_index[token]
-        except AttributeError:
-            self._primitive_index = {t: i for i, t in enumerate(self.primitive_names)}
-            return self._primitive_index[token]
 
     def describe(self) -> str:
         """One-line, Table-1-style statistics string."""
@@ -172,31 +180,9 @@ def featurize_corpus(
     seed:
         Controls the split permutation only.
     """
-    if metric not in ("accuracy", "f1"):
-        raise ValueError(f"metric must be 'accuracy' or 'f1', got {metric!r}")
-    train_idx, valid_idx, test_idx = train_valid_test_split(
-        len(corpus), valid_ratio=valid_ratio, test_ratio=test_ratio, seed=seed
+    splits, primitive_names = featurize_splits(
+        corpus, metric, min_df, max_df_ratio, valid_ratio, test_ratio, seed
     )
-    index_of = {"train": train_idx, "valid": valid_idx, "test": test_idx}
-
-    train_texts = [corpus.texts[i] for i in train_idx]
-    vectorizer = TfidfVectorizer(min_df=min_df, max_df_ratio=max_df_ratio)
-    vectorizer.fit(train_texts)
-    primitive_names = vectorizer.vocabulary.tokens
-
-    splits: dict[str, Split] = {}
-    for split_name, idx in index_of.items():
-        texts = [corpus.texts[i] for i in idx]
-        X = vectorizer.transform(texts)
-        B = _binarize(X)
-        splits[split_name] = Split(
-            texts=texts,
-            X=X,
-            B=B,
-            y=corpus.labels[idx].astype(int),
-            clusters=corpus.clusters[idx].astype(int),
-        )
-
     valid_y = splits["valid"].y
     label_prior = float(np.clip((valid_y == 1).mean(), 0.05, 0.95))
     return FeaturizedDataset(
@@ -210,8 +196,43 @@ def featurize_corpus(
     )
 
 
-def _binarize(X: sp.csr_matrix) -> sp.csr_matrix:
-    """0/1 incidence matrix with the sparsity pattern of ``X``."""
-    B = X.copy().tocsr()
-    B.data = np.ones_like(B.data)
-    return B
+def featurize_splits(
+    corpus,
+    metric: str,
+    min_df: int,
+    max_df_ratio: float,
+    valid_ratio: float,
+    test_ratio: float,
+    seed,
+) -> tuple[dict[str, Split], list[str]]:
+    """Split a corpus and featurize every split; return ``(splits, tokens)``.
+
+    The shared body of :func:`featurize_corpus` and
+    :func:`repro.multiclass.data.featurize_mc_corpus`, which differ only in
+    the prior they estimate afterwards.  The TF-IDF vectorizer (and hence
+    the primitive domain, which is its vocabulary) is fitted on the *train*
+    split only, then applied to all splits; ``B`` is the binarized ``X``.
+    ``corpus`` is any object with ``texts``, ``labels`` and ``clusters``.
+    """
+    if metric not in ("accuracy", "f1"):
+        raise ValueError(f"metric must be 'accuracy' or 'f1', got {metric!r}")
+    train_idx, valid_idx, test_idx = train_valid_test_split(
+        len(corpus), valid_ratio=valid_ratio, test_ratio=test_ratio, seed=seed
+    )
+    vectorizer = TfidfVectorizer(min_df=min_df, max_df_ratio=max_df_ratio)
+    vectorizer.fit([corpus.texts[i] for i in train_idx])
+
+    splits: dict[str, Split] = {}
+    for split_name, idx in zip(SPLIT_NAMES, (train_idx, valid_idx, test_idx)):
+        texts = [corpus.texts[i] for i in idx]
+        X = vectorizer.transform(texts)
+        B = X.copy().tocsr()
+        B.data = np.ones_like(B.data)
+        splits[split_name] = Split(
+            texts=texts,
+            X=X,
+            B=B,
+            y=corpus.labels[idx].astype(int),
+            clusters=corpus.clusters[idx].astype(int),
+        )
+    return splits, vectorizer.vocabulary.tokens

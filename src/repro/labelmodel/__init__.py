@@ -5,7 +5,7 @@ the MeTaL-style default plus majority vote, Dawid–Skene, the triplet method,
 and the ImplyLoss-L joint baseline.
 """
 
-from repro.labelmodel.base import LabelModel, posterior_entropy
+from repro.labelmodel.base import BaseLabelModel, LabelModel, posterior_entropy
 from repro.labelmodel.dawid_skene import DawidSkene
 from repro.labelmodel.implyloss import ImplyLossModel
 from repro.labelmodel.majority import MajorityVote
@@ -49,6 +49,7 @@ def make_label_model(name: str, class_prior: float = 0.5, **kwargs) -> LabelMode
 
 
 __all__ = [
+    "BaseLabelModel",
     "LabelModel",
     "posterior_entropy",
     "MajorityVote",

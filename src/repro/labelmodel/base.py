@@ -1,8 +1,9 @@
 """Label-model interface.
 
 A label model consumes the label matrix ``L`` and produces probabilistic
-training labels ``P(y_i = +1 | L_i)`` (paper Sec. 2, stage 2).  All models
-here are binary (Y = {-1, +1}) with abstains, matching the paper's scope.
+training labels (paper Sec. 2, stage 2): ``P(y_i = +1 | L_i)`` for the
+binary models of this package, ``P(y_i = k | L_i)`` for the K-class models
+of :mod:`repro.multiclass`.  Both share :class:`BaseLabelModel`.
 """
 
 from __future__ import annotations
@@ -11,55 +12,45 @@ from abc import ABC, abstractmethod
 
 import numpy as np
 
-from repro.labelmodel.matrix import validate_label_matrix
+from repro.labelmodel.matrix import ColumnStats, validate_label_matrix
 from repro.utils.state import FittedStateMixin
 
 
-class LabelModel(FittedStateMixin, ABC):
-    """Abstract denoiser/aggregator of weak-supervision votes.
+class BaseLabelModel(FittedStateMixin, ABC):
+    """Root of every label model, binary or K-class.
 
-    Subclasses implement :meth:`fit` (estimate source parameters from ``L``)
-    and :meth:`predict_proba` (posterior ``P(y=+1|L_i)`` per example).  The
-    contextualized pipeline (paper Sec. 4.3) is deliberately *model-agnostic*:
-    any subclass can be dropped into Nemo.
+    A label model denoises/aggregates a vote matrix ``L`` into a posterior
+    per example: :class:`LabelModel` returns ``(n,)`` ``P(y=+1|L_i)``
+    vectors over the binary alphabet, and
+    :class:`repro.multiclass.base.MultiClassLabelModel` returns ``(n, K)``
+    row-stochastic matrices over the K-class one.  Uncovered examples
+    receive the class prior.  The contextualized pipeline (paper Sec. 4.3)
+    is deliberately *model-agnostic*: any subclass can be dropped into Nemo.
 
     All subclasses inherit declarative fitted-state capture
     (:class:`~repro.utils.state.FittedStateMixin`): the attributes listed
     in ``_FITTED_ATTRS`` are what a session checkpoint persists for the
     model (hyperparameters are reconstructed by the session's factory).
-
-    Parameters
-    ----------
-    class_prior:
-        ``P(y = +1)``.  Fixed (not learned) unless a subclass says
-        otherwise, mirroring how class balance is supplied to MeTaL.
     """
 
-    def __init__(self, class_prior: float = 0.5) -> None:
-        if not 0.0 < class_prior < 1.0:
-            raise ValueError(f"class_prior must be in (0, 1), got {class_prior}")
-        self.class_prior = class_prior
-
     @abstractmethod
-    def fit(self, L: np.ndarray) -> "LabelModel":
-        """Estimate source parameters from the label matrix."""
+    def fit(self, L: np.ndarray) -> "BaseLabelModel":
+        """Estimate source parameters from the vote matrix."""
 
     @abstractmethod
     def predict_proba(self, L: np.ndarray) -> np.ndarray:
-        """Return ``(n,)`` posterior probabilities ``P(y=+1 | L_i)``.
+        """Posterior over the labels for every example (see class doc)."""
 
-        Uncovered examples receive the class prior.
-        """
+    @abstractmethod
+    def _validated(self, L: np.ndarray) -> np.ndarray:
+        """``L`` checked against the model's vote alphabet, as int8."""
 
-    # ------------------------------------------------------------------ #
-    # shared conveniences
-    # ------------------------------------------------------------------ #
     def fit_warm(
         self,
         L: np.ndarray,
-        previous: "LabelModel | None" = None,
+        previous: "BaseLabelModel | None" = None,
         max_iter: int | None = None,
-    ) -> "LabelModel":
+    ) -> "BaseLabelModel":
         """Fit, optionally warm-starting from a previously fitted model.
 
         ``previous`` is a model of the same class fitted on the first
@@ -76,6 +67,45 @@ class LabelModel(FittedStateMixin, ABC):
     def fit_predict_proba(self, L: np.ndarray) -> np.ndarray:
         """``fit(L)`` then ``predict_proba(L)``."""
         return self.fit(L).predict_proba(L)
+
+    def _validated_or_stats(self, L: np.ndarray, stats: ColumnStats | None) -> np.ndarray:
+        """Validate ``L``, or accept it under a matching stats handle.
+
+        The guard of every stats-aware model: a :class:`VoteMatrix`
+        validates each vote on append, so its live view needs no re-scan;
+        a handle that does not describe the matrix it is paired with is a
+        caller bug and fails loudly rather than silently fitting stale
+        statistics.
+        """
+        if stats is None:
+            return self._validated(L)
+        if not stats.matches(L):
+            raise ValueError(
+                "stats handle does not describe the given label matrix "
+                f"(handle shape {(stats.n_rows, stats.m)}, L shape "
+                f"{np.asarray(L).shape})"
+            )
+        return L
+
+
+class LabelModel(BaseLabelModel):
+    """Abstract binary denoiser/aggregator of weak-supervision votes.
+
+    Subclasses implement :meth:`fit` (estimate source parameters from ``L``)
+    and :meth:`predict_proba` (``(n,)`` posterior ``P(y=+1|L_i)``; uncovered
+    examples receive the class prior).
+
+    Parameters
+    ----------
+    class_prior:
+        ``P(y = +1)``.  Fixed (not learned) unless a subclass says
+        otherwise, mirroring how class balance is supplied to MeTaL.
+    """
+
+    def __init__(self, class_prior: float = 0.5) -> None:
+        if not 0.0 < class_prior < 1.0:
+            raise ValueError(f"class_prior must be in (0, 1), got {class_prior}")
+        self.class_prior = class_prior
 
     def predict(self, L: np.ndarray) -> np.ndarray:
         """Hard ±1 labels from the posterior (prior-side ties)."""

@@ -13,11 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.labelmodel.base import LabelModel
-from repro.labelmodel.matrix import (
-    ColumnStats,
-    column_stats_from_dense,
-    validated_or_stats,
-)
+from repro.labelmodel.matrix import ColumnStats, column_stats_from_dense
 
 _OUTCOMES = (-1, 0, 1)
 _SMOOTH = 0.1
@@ -173,9 +169,6 @@ class DawidSkene(LabelModel):
         self.confusion_ = confusion
         self.prior_ = prior
         self.em_iterations_ = iterations
-
-    def _validated_or_stats(self, L: np.ndarray, stats: ColumnStats | None) -> np.ndarray:
-        return validated_or_stats(L, stats, self._validated)
 
     def predict_proba(
         self, L: np.ndarray, stats: ColumnStats | None = None

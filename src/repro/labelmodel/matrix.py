@@ -1,10 +1,16 @@
-"""Label-matrix construction and diagnostics.
+"""Label-matrix construction and diagnostics, for any vote alphabet.
 
 The label matrix ``L`` is the central artifact of data programming
-(paper Sec. 2): ``L[i, j] = λ_j(x_i) ∈ {-1, 0, +1}`` with 0 meaning
-*abstain*.  This module builds ``L`` from primitive-based LFs and computes
-the standard weak-supervision diagnostics (coverage, overlap, conflict) that
-both the literature and our selectors/tests rely on.
+(paper Sec. 2): ``L[i, j] = λ_j(x_i)`` is a label or *abstain*.  Every
+function here takes the vote alphabet — the ``abstain`` value and the
+``labels`` — as keyword arguments, defaulting to the binary {-1, 0, +1}
+with 0 abstaining; :mod:`repro.multiclass.matrix` binds the K-class one
+(votes ``0..K-1``, -1 abstains).  The module builds ``L`` from
+primitive-based LFs, stores it incrementally (:class:`VoteMatrix`), and
+computes the standard weak-supervision diagnostics (coverage, overlap,
+conflict) that both the literature and our selectors/tests rely on.  It
+imports nothing from :mod:`repro.core`, which imports it while still
+initialising.
 """
 
 from __future__ import annotations
@@ -13,6 +19,12 @@ import numpy as np
 import scipy.sparse as sp
 
 ABSTAIN = 0
+
+#: The binary vote labels, in the canonical order of the binary convention.
+BINARY_LABELS = (1, -1)
+
+#: Largest class count ``K`` whose votes fit the int8 vote store.
+MAX_CLASSES = 127
 
 
 def column_nonzero_rows(B: sp.spmatrix, j: int) -> np.ndarray:
@@ -118,6 +130,8 @@ class VoteMatrix:
         value = int(value)
         if value == self.abstain:
             raise ValueError(f"vote value {value} equals the abstain sentinel")
+        if not -128 <= value <= 127:
+            raise ValueError(f"vote value {value} does not fit the int8 vote store")
         rows = np.asarray(rows)
         if rows.ndim != 1:
             raise ValueError(f"rows must be 1-D, got shape {rows.shape}")
@@ -552,26 +566,6 @@ class ColumnStats:
         return self._entries_cache[1]
 
 
-def validated_or_stats(L: np.ndarray, stats: "ColumnStats | None", validator):
-    """Validate ``L`` with ``validator``, or accept it under a matching handle.
-
-    The shared guard of every stats-aware label model: a
-    :class:`VoteMatrix` validates each vote on append, so its live view
-    needs no re-scan; a handle that does not describe the matrix it is
-    paired with is a caller bug and fails loudly rather than silently
-    fitting stale statistics.
-    """
-    if stats is None:
-        return validator(L)
-    if not stats.matches(L):
-        raise ValueError(
-            "stats handle does not describe the given label matrix "
-            f"(handle shape {(stats.n_rows, stats.m)}, L shape "
-            f"{np.asarray(L).shape})"
-        )
-    return L
-
-
 def column_stats_from_dense(L: np.ndarray, abstain: int = ABSTAIN) -> ColumnStats:
     """A detached :class:`ColumnStats` built by scanning a dense matrix once.
 
@@ -584,126 +578,178 @@ def column_stats_from_dense(L: np.ndarray, abstain: int = ABSTAIN) -> ColumnStat
     return VoteMatrix.from_dense(L, abstain=abstain).stats
 
 
-def apply_lfs(lfs, B: sp.csr_matrix) -> np.ndarray:
+def check_n_classes(n_classes: int) -> int:
+    """Validate a class count ``K`` for the int8 vote store; return it.
+
+    Votes ``0..K-1`` live in an int8 buffer, so ``K`` is capped at 127 —
+    a larger class id would wrap around silently instead of naming its
+    class.
+    """
+    if n_classes < 2:
+        raise ValueError(f"n_classes must be >= 2, got {n_classes}")
+    if n_classes > MAX_CLASSES:
+        raise ValueError(
+            f"n_classes must be <= {MAX_CLASSES} because votes are stored as "
+            f"int8, got {n_classes}"
+        )
+    return int(n_classes)
+
+
+def apply_lfs(lfs, B: sp.csr_matrix, abstain: int = ABSTAIN) -> np.ndarray:
     """Apply primitive-based LFs to a primitive-incidence matrix.
 
     Parameters
     ----------
     lfs:
         Iterable of objects with ``primitive_id`` (column of ``B``) and
-        ``label`` (±1) attributes — see
-        :class:`repro.core.lf.PrimitiveLF`.
+        ``label`` (a vote value) attributes — see
+        :class:`repro.core.lf.PrimitiveLF` and
+        :class:`repro.multiclass.lf.MultiClassLF`.
     B:
         Binary ``(n, |Z|)`` incidence matrix.
+    abstain:
+        The abstain value written where an LF's primitive is absent.
 
     Returns
     -------
-    ``(n, m)`` int8 array with entries in {-1, 0, +1}.
+    ``(n, m)`` int8 array of each LF's label on covered rows, ``abstain``
+    elsewhere.
     """
     lfs = list(lfs)
-    n = B.shape[0]
-    L = np.zeros((n, len(lfs)), dtype=np.int8)
+    L = np.full((B.shape[0], len(lfs)), abstain, dtype=np.int8)
     Bc = B.tocsc() if sp.issparse(B) else sp.csc_matrix(B)
     for j, lf in enumerate(lfs):
         L[column_nonzero_rows(Bc, lf.primitive_id), j] = lf.label
     return L
 
 
-def validate_label_matrix(L: np.ndarray) -> np.ndarray:
-    """Check that ``L`` is 2-D with entries in {-1, 0, +1}; return as int8."""
+def validate_label_matrix(
+    L: np.ndarray, abstain: int = ABSTAIN, labels=BINARY_LABELS
+) -> np.ndarray:
+    """Check that ``L`` is 2-D over the vote alphabet; return it as int8.
+
+    The alphabet is ``abstain`` plus ``labels`` ({-1, 0, +1} by default).
+    Membership is exact, so a non-integer entry such as 0.5 is rejected
+    rather than truncated into a vote.
+    """
     arr = np.asarray(L)
     if arr.ndim != 2:
         raise ValueError(f"label matrix must be 2-D, got shape {arr.shape}")
-    bad = set(np.unique(arr)) - {-1, 0, 1}
-    if bad:
-        raise ValueError(f"label matrix entries must be in {{-1,0,+1}}, found {sorted(bad)}")
+    alphabet = (abstain, *labels)
+    values = np.unique(arr)
+    bad = values[~np.isin(values, alphabet)]
+    if bad.size:
+        raise ValueError(
+            f"label matrix entries must be in {sorted(alphabet)}, "
+            f"found {sorted(bad.tolist())}"
+        )
     return arr.astype(np.int8)
 
 
-def coverage_mask(L: np.ndarray) -> np.ndarray:
+def coverage_mask(L: np.ndarray, abstain: int = ABSTAIN) -> np.ndarray:
     """Boolean ``(n,)`` mask of examples with at least one non-abstain vote."""
-    return (np.asarray(L) != ABSTAIN).any(axis=1)
+    return (np.asarray(L) != abstain).any(axis=1)
 
 
-def coverage(L: np.ndarray) -> float:
+def coverage(L: np.ndarray, abstain: int = ABSTAIN) -> float:
     """Fraction of examples covered by at least one LF."""
     L = np.asarray(L)
     if L.size == 0:
         return 0.0
-    return float(coverage_mask(L).mean())
+    return float(coverage_mask(L, abstain).mean())
 
 
-def lf_coverages(L: np.ndarray) -> np.ndarray:
+def lf_coverages(L: np.ndarray, abstain: int = ABSTAIN) -> np.ndarray:
     """Per-LF coverage fractions, shape ``(m,)``."""
     L = np.asarray(L)
     if L.shape[0] == 0:
         return np.zeros(L.shape[1])
-    return (L != ABSTAIN).mean(axis=0)
+    return (L != abstain).mean(axis=0)
 
 
-def lf_accuracies(L: np.ndarray, y: np.ndarray) -> np.ndarray:
+def lf_accuracies(L: np.ndarray, y: np.ndarray, abstain: int = ABSTAIN) -> np.ndarray:
     """Per-LF empirical accuracy on covered examples (NaN if uncovered)."""
     L = np.asarray(L)
     y = np.asarray(y)
-    votes = L != ABSTAIN
+    votes = L != abstain
     correct = (L == y[:, None]) & votes
     n_votes = votes.sum(axis=0).astype(float)
     with np.errstate(invalid="ignore", divide="ignore"):
         return np.where(n_votes > 0, correct.sum(axis=0) / n_votes, np.nan)
 
 
-def conflict_counts(L: np.ndarray) -> np.ndarray:
-    """Per-example number of conflicting vote *pairs*.
+def label_vote_counts(L: np.ndarray, labels=BINARY_LABELS) -> np.ndarray:
+    """Per-example vote counts per label, shape ``(n, len(labels))``.
 
-    An example with ``p`` positive and ``q`` negative votes contributes
-    ``p * q`` conflicts; this is the quantity the Disagree selector
-    maximizes.
+    ``counts[i, j]`` is the number of LFs voting ``labels[j]`` on example
+    ``i``; abstains (and values outside ``labels``) are not counted.
     """
     L = np.asarray(L)
-    pos = (L == 1).sum(axis=1)
-    neg = (L == -1).sum(axis=1)
-    return pos * neg
+    labels = tuple(labels)
+    counts = np.zeros((L.shape[0], len(labels)), dtype=np.int64)
+    for j, value in enumerate(labels):
+        counts[:, j] = (L == value).sum(axis=1)
+    return counts
 
 
-def abstain_counts(L: np.ndarray) -> np.ndarray:
+def conflict_counts(L: np.ndarray, labels=BINARY_LABELS) -> np.ndarray:
+    """Per-example number of conflicting vote *pairs*.
+
+    With per-label counts ``c_v`` on an example, the number of unordered
+    pairs of votes naming different labels is ``(T² − Σ c_v²) / 2`` where
+    ``T = Σ c_v`` — for two labels this is the classic ``p · q`` that the
+    Disagree selector maximizes.
+    """
+    counts = label_vote_counts(L, labels)
+    total = counts.sum(axis=1)
+    return (total * total - (counts * counts).sum(axis=1)) // 2
+
+
+def abstain_counts(L: np.ndarray, abstain: int = ABSTAIN) -> np.ndarray:
     """Per-example number of abstaining LFs (the Abstain selector's score)."""
     L = np.asarray(L)
-    return (L == ABSTAIN).sum(axis=1)
+    return (L == abstain).sum(axis=1)
 
 
-def overlap_fraction(L: np.ndarray) -> float:
+def overlap_fraction(L: np.ndarray, abstain: int = ABSTAIN) -> float:
     """Fraction of examples covered by two or more LFs."""
     L = np.asarray(L)
     if L.size == 0:
         return 0.0
-    return float(((L != ABSTAIN).sum(axis=1) >= 2).mean())
+    return float(((L != abstain).sum(axis=1) >= 2).mean())
 
 
-def conflict_fraction(L: np.ndarray) -> float:
+def conflict_fraction(L: np.ndarray, labels=BINARY_LABELS) -> float:
     """Fraction of examples with at least one conflicting vote pair."""
     L = np.asarray(L)
     if L.size == 0:
         return 0.0
-    return float((conflict_counts(L) > 0).mean())
+    return float((conflict_counts(L, labels) > 0).mean())
 
 
 def vote_tallies(L: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Return per-example (positive, negative) vote counts."""
-    L = np.asarray(L)
-    return (L == 1).sum(axis=1), (L == -1).sum(axis=1)
+    """Return per-example (positive, negative) binary vote counts."""
+    counts = label_vote_counts(L)
+    return counts[:, 0], counts[:, 1]
 
 
-def summary(L: np.ndarray, y: np.ndarray | None = None) -> dict[str, float]:
+def summary(
+    L: np.ndarray,
+    y: np.ndarray | None = None,
+    abstain: int = ABSTAIN,
+    labels=BINARY_LABELS,
+) -> dict[str, float]:
     """Aggregate diagnostics dict (coverage/overlap/conflict [+ accuracy])."""
+    L = np.asarray(L)
     stats = {
-        "n_examples": float(np.asarray(L).shape[0]),
-        "n_lfs": float(np.asarray(L).shape[1]),
-        "coverage": coverage(L),
-        "overlap": overlap_fraction(L),
-        "conflict": conflict_fraction(L),
+        "n_examples": float(L.shape[0]),
+        "n_lfs": float(L.shape[1]),
+        "coverage": coverage(L, abstain),
+        "overlap": overlap_fraction(L, abstain),
+        "conflict": conflict_fraction(L, labels),
     }
-    if y is not None and np.asarray(L).shape[1] > 0:
-        accs = lf_accuracies(L, y)
+    if y is not None and L.shape[1] > 0:
+        accs = lf_accuracies(L, y, abstain)
         if np.any(~np.isnan(accs)):
             stats["mean_lf_accuracy"] = float(np.nanmean(accs))
     return stats

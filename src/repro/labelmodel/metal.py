@@ -29,11 +29,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.labelmodel.base import LabelModel
-from repro.labelmodel.matrix import (
-    ColumnStats,
-    column_stats_from_dense,
-    validated_or_stats,
-)
+from repro.labelmodel.matrix import ColumnStats, column_stats_from_dense
 
 _ACC_FLOOR = 0.05
 _ACC_CEIL = 0.95
@@ -243,11 +239,6 @@ class MetalLabelModel(LabelModel):
         finally:
             self.n_iter = full_n_iter  # the cap is scoped to this call only
         return self
-
-    def _validated_or_stats(
-        self, L: np.ndarray, stats: ColumnStats | None
-    ) -> np.ndarray:
-        return validated_or_stats(L, stats, self._validated)
 
     def _fit_from_posterior(
         self,

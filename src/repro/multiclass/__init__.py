@@ -2,28 +2,33 @@
 
 The paper restricts its exposition to binary classification "for ease of
 exposition" (Sec. 3) while stating the IDP formalism for an arbitrary label
-space ``Y``.  This subpackage carries every component of the binary pipeline
-to ``K`` classes:
+space ``Y``.  Most of the pipeline is written once for any label space and
+parameterized by a :class:`~repro.core.convention.VoteConvention`; this
+subpackage binds the K-class convention and holds the genuinely K-class
+parts:
 
-* primitive LFs emit a class in ``{0, ..., K-1}`` (:mod:`repro.multiclass.lf`),
-* the label matrix uses the multiclass weak-supervision convention
-  ``ABSTAIN = -1`` (:mod:`repro.multiclass.matrix`),
+* primitive LFs emit a class in ``{0, ..., K-1}``; the family reuses the
+  binary :class:`~repro.core.lf.LFFamily` (:mod:`repro.multiclass.lf`),
+* the vote alphabet is the weak-supervision literature's ``{-1, 0, ...,
+  K-1}`` with ``-1`` abstaining; validation and diagnostics are the
+  alphabet-generic functions of :mod:`repro.labelmodel.matrix`, bound in
+  :mod:`repro.multiclass.matrix`,
 * label models generalize to per-class vote counts (majority vote) and full
-  confusion matrices (Dawid–Skene EM) —
+  confusion matrices (Dawid–Skene EM) on the shared
+  :class:`~repro.labelmodel.base.BaseLabelModel` root —
   :mod:`repro.multiclass.majority`, :mod:`repro.multiclass.dawid_skene`,
-* the SEU selector's user model, utility function, and vectorized expected
-  utility generalize class-by-class
-  (:mod:`repro.multiclass.user_model`, :mod:`repro.multiclass.utility`,
-  :mod:`repro.multiclass.seu`),
-* the contextualizer (Eq. 4 is label-space agnostic) gets a multiclass
-  refinement wrapper (:mod:`repro.multiclass.contextualizer`), and
+* the K-class corpus generator and featurizer share the binary split,
+  TF-IDF and Zipf plumbing (:mod:`repro.multiclass.data`),
+* the SEU selector, user models, utilities, selectors, and contextualizer
+  are the convention-generic core components, re-exported here under their
+  historical ``MC*`` names, and
 * the session engine drives the full loop against a softmax end model
   (:mod:`repro.multiclass.session`).
 
-Note the abstain conventions deliberately differ between packages: the
-binary pipeline uses the paper's ``{-1, 0, +1}`` vote encoding (0 abstains),
-whereas here classes occupy ``0..K-1`` and ``-1`` abstains — the standard
-encoding of the multiclass weak-supervision literature.
+The binary pipeline keeps the paper's ``{-1, 0, +1}`` vote encoding (0
+abstains); here classes occupy ``0..K-1`` and ``-1`` abstains.  Both
+alphabets flow through the same :class:`~repro.labelmodel.matrix.VoteMatrix`
+and diagnostics, each keyed by its own abstain value and labels.
 """
 
 from repro.multiclass.contextualizer import MCContextualizer, MCPercentileTuner

@@ -3,21 +3,26 @@
 A multiclass label model consumes the vote matrix ``L`` (entries in
 ``{-1, 0, ..., K-1}``, -1 = abstain) and produces a probabilistic posterior
 ``P(y_i = k | L_i)`` per example — the ``(n, K)`` analogue of the binary
-pipeline's ``P(y = +1 | L)`` vector.
+pipeline's ``P(y = +1 | L)`` vector.  Both kinds share
+:class:`repro.labelmodel.base.BaseLabelModel` (warm-fit default, stats
+guard, fitted-state capture).
 """
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
-
 import numpy as np
 
+from repro.labelmodel.base import BaseLabelModel
+from repro.labelmodel.matrix import check_n_classes
 from repro.multiclass.matrix import validate_mc_label_matrix
-from repro.utils.state import FittedStateMixin
 
 
-class MultiClassLabelModel(FittedStateMixin, ABC):
+class MultiClassLabelModel(BaseLabelModel):
     """Abstract multiclass denoiser/aggregator of weak-supervision votes.
+
+    Subclasses implement :meth:`fit` and :meth:`predict_proba` (``(n, K)``
+    posterior ``P(y = k | L_i)``; rows sum to 1 and uncovered examples
+    receive the class priors).
 
     Parameters
     ----------
@@ -29,8 +34,7 @@ class MultiClassLabelModel(FittedStateMixin, ABC):
     """
 
     def __init__(self, n_classes: int, class_priors: np.ndarray | None = None) -> None:
-        if n_classes < 2:
-            raise ValueError(f"n_classes must be >= 2, got {n_classes}")
+        n_classes = check_n_classes(n_classes)
         self.n_classes = n_classes
         if class_priors is None:
             priors = np.full(n_classes, 1.0 / n_classes)
@@ -44,40 +48,6 @@ class MultiClassLabelModel(FittedStateMixin, ABC):
                 raise ValueError("class_priors must be strictly positive")
             priors = priors / priors.sum()
         self.class_priors = priors
-
-    @abstractmethod
-    def fit(self, L: np.ndarray) -> "MultiClassLabelModel":
-        """Estimate source parameters from the vote matrix."""
-
-    @abstractmethod
-    def predict_proba(self, L: np.ndarray) -> np.ndarray:
-        """Return ``(n, K)`` posterior ``P(y = k | L_i)``.
-
-        Rows sum to 1; uncovered examples receive the class priors.
-        """
-
-    # ------------------------------------------------------------------ #
-    # shared conveniences
-    # ------------------------------------------------------------------ #
-    def fit_warm(
-        self,
-        L: np.ndarray,
-        previous: "MultiClassLabelModel | None" = None,
-        max_iter: int | None = None,
-    ) -> "MultiClassLabelModel":
-        """Fit, optionally warm-starting from a previously fitted model.
-
-        ``previous`` is a model of the same class fitted on the first
-        ``m_prev ≤ m`` columns of ``L``; ``max_iter`` optionally caps the
-        inner optimizer iterations for this call (see the binary
-        :meth:`repro.labelmodel.base.LabelModel.fit_warm`).  The default
-        ignores both hints and performs a full fit.
-        """
-        return self.fit(L)
-
-    def fit_predict_proba(self, L: np.ndarray) -> np.ndarray:
-        """``fit(L)`` then ``predict_proba(L)``."""
-        return self.fit(L).predict_proba(L)
 
     def predict(self, L: np.ndarray) -> np.ndarray:
         """Hard class labels via the posterior argmax (first-class ties)."""

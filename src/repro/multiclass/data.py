@@ -1,7 +1,11 @@
 """Multiclass synthetic corpora and the featurized dataset container.
 
-Mirrors :mod:`repro.data.synthetic` / :mod:`repro.data.dataset` for K-class
-tasks.  The generator keeps the two structural phenomena the paper's
+The K-class counterparts of :mod:`repro.data.synthetic` /
+:mod:`repro.data.dataset`, built on their shared parts (the Zipf word
+picker, the split-and-featurize helper, the split accessors).  The label
+draw stays K-class: the binary generator draws ``rng.random() <
+positive_ratio``, this one ``rng.choice(K, p=priors)``, and merging them
+would change every generated corpus.  The generator keeps the two structural phenomena the paper's
 contributions exploit — cluster-local generalization and distance-decaying
 LF accuracy — but with K per-class cue banks: *global* cues name their class
 reliably everywhere, while *local* cues are reliable only inside their home
@@ -18,10 +22,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.data.dataset import Split, train_valid_test_split
+from repro.data.dataset import Split, SplitAccessors, featurize_splits
 from repro.data.minting import mint_words
+from repro.data.synthetic import CorpusGenerator
 from repro.data.wordbanks import COMMON_FILLER
-from repro.text.tfidf import TfidfVectorizer
 from repro.utils.rng import ensure_rng
 from repro.utils.validation import check_in_range, check_positive
 
@@ -165,27 +169,12 @@ class MCSyntheticCorpus:
         return len(self.texts)
 
 
-class MCCorpusGenerator:
-    """Samples :class:`MCSyntheticCorpus` instances from an :class:`MCCorpusSpec`."""
+class MCCorpusGenerator(CorpusGenerator):
+    """Samples :class:`MCSyntheticCorpus` instances from an :class:`MCCorpusSpec`.
 
-    def __init__(self, spec: MCCorpusSpec) -> None:
-        self.spec = spec
-        self._cluster_weights = np.array([c.weight for c in spec.clusters], float)
-        self._cluster_weights /= self._cluster_weights.sum()
-        self._zipf_cache: dict[int, np.ndarray] = {}
-
-    def _pick(self, rng: np.random.Generator, bank) -> str:
-        """Sample one word from a bank under the spec's Zipf law."""
-        n = len(bank)
-        if n == 1:
-            return str(bank[0])
-        probs = self._zipf_cache.get(n)
-        if probs is None:
-            ranks = np.arange(1, n + 1, dtype=float)
-            weights = ranks ** (-self.spec.zipf_exponent)
-            probs = weights / weights.sum()
-            self._zipf_cache[n] = probs
-        return str(bank[int(rng.choice(n, p=probs))])
+    Shares the binary generator's cluster weights and Zipf word picker;
+    only the label draw and the cue emission are K-class.
+    """
 
     def generate(self, n_docs: int, seed=None) -> MCSyntheticCorpus:
         """Generate ``n_docs`` documents (fully seeded)."""
@@ -295,7 +284,7 @@ class MCCorpusGenerator:
 
 
 @dataclass
-class MCFeaturizedDataset:
+class MCFeaturizedDataset(SplitAccessors):
     """A fully-prepared K-class dataset for multiclass IDP.
 
     Structurally parallel to :class:`repro.data.dataset.FeaturizedDataset`
@@ -318,30 +307,6 @@ class MCFeaturizedDataset:
         if self.class_priors is None:
             self.class_priors = np.full(self.n_classes, 1.0 / self.n_classes)
 
-    @property
-    def train(self) -> Split:
-        return self.splits["train"]
-
-    @property
-    def valid(self) -> Split:
-        return self.splits["valid"]
-
-    @property
-    def test(self) -> Split:
-        return self.splits["test"]
-
-    @property
-    def n_primitives(self) -> int:
-        return len(self.primitive_names)
-
-    def primitive_id(self, token: str) -> int:
-        """Index of ``token`` in the primitive domain; raises if absent."""
-        try:
-            return self._primitive_index[token]
-        except AttributeError:
-            self._primitive_index = {t: i for i, t in enumerate(self.primitive_names)}
-            return self._primitive_index[token]
-
     def describe(self) -> str:
         """One-line statistics string."""
         sizes = {name: split.n for name, split in self.splits.items()}
@@ -363,36 +328,14 @@ def featurize_mc_corpus(
 ) -> MCFeaturizedDataset:
     """Split and featurize a K-class corpus (80/10/10, train-fitted TF-IDF).
 
-    Mirrors :func:`repro.data.dataset.featurize_corpus`; class priors are
+    Shares :func:`repro.data.dataset.featurize_splits` with the binary
+    :func:`~repro.data.dataset.featurize_corpus`; class priors are
     estimated on the validation split with additive smoothing so every
     class keeps strictly positive mass.
     """
-    if metric not in ("accuracy", "f1"):
-        raise ValueError(f"metric must be 'accuracy' or 'f1', got {metric!r}")
-    train_idx, valid_idx, test_idx = train_valid_test_split(
-        len(corpus), valid_ratio=valid_ratio, test_ratio=test_ratio, seed=seed
+    splits, primitive_names = featurize_splits(
+        corpus, metric, min_df, max_df_ratio, valid_ratio, test_ratio, seed
     )
-    index_of = {"train": train_idx, "valid": valid_idx, "test": test_idx}
-
-    train_texts = [corpus.texts[i] for i in train_idx]
-    vectorizer = TfidfVectorizer(min_df=min_df, max_df_ratio=max_df_ratio)
-    vectorizer.fit(train_texts)
-    primitive_names = vectorizer.vocabulary.tokens
-
-    splits: dict[str, Split] = {}
-    for split_name, idx in index_of.items():
-        texts = [corpus.texts[i] for i in idx]
-        X = vectorizer.transform(texts)
-        B = X.copy().tocsr()
-        B.data = np.ones_like(B.data)
-        splits[split_name] = Split(
-            texts=texts,
-            X=X,
-            B=B,
-            y=corpus.labels[idx].astype(int),
-            clusters=corpus.clusters[idx].astype(int),
-        )
-
     valid_y = splits["valid"].y
     counts = np.bincount(valid_y, minlength=corpus.n_classes).astype(float)
     priors = (counts + 1.0) / (counts.sum() + corpus.n_classes)

@@ -20,11 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.labelmodel.matrix import (
-    ColumnStats,
-    column_stats_from_dense,
-    validated_or_stats,
-)
+from repro.labelmodel.matrix import ColumnStats, column_stats_from_dense
 from repro.multiclass.base import MultiClassLabelModel
 from repro.multiclass.matrix import MC_ABSTAIN
 
@@ -198,11 +194,6 @@ class MCDawidSkeneModel(MultiClassLabelModel):
         finally:
             self.n_iter = full_n_iter  # the cap is scoped to this call only
         return self
-
-    def _validated_or_stats(
-        self, L: np.ndarray, stats: ColumnStats | None
-    ) -> np.ndarray:
-        return validated_or_stats(L, stats, self._validated)
 
     def _fit_from_posterior(
         self,

@@ -15,9 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from repro.labelmodel.matrix import column_nonzero_rows
+from repro.core.lf import LFFamily
+from repro.labelmodel.matrix import check_n_classes, column_nonzero_rows
 from repro.multiclass.matrix import MC_ABSTAIN
-from repro.utils.rng import ensure_rng
 
 
 @dataclass(frozen=True)
@@ -62,8 +62,13 @@ class MultiClassLF:
         return votes
 
 
-class MultiClassLFFamily:
+class MultiClassLFFamily(LFFamily):
     """The family of all multiclass primitive LFs over a primitive domain.
+
+    The primitive bookkeeping (coverage, explorer, token lookup) is the
+    label-space-agnostic :class:`~repro.core.lf.LFFamily`; this subclass
+    adds the class count, emits :class:`MultiClassLF` s, and estimates
+    per-class accuracies.
 
     Parameters
     ----------
@@ -76,45 +81,8 @@ class MultiClassLFFamily:
     """
 
     def __init__(self, primitive_names: list[str], B: sp.csr_matrix, n_classes: int) -> None:
-        if B.shape[1] != len(primitive_names):
-            raise ValueError(
-                f"B has {B.shape[1]} columns but {len(primitive_names)} primitive names given"
-            )
-        if n_classes < 2:
-            raise ValueError(f"n_classes must be >= 2, got {n_classes}")
-        self.primitive_names = list(primitive_names)
-        self.B = B.tocsr()
-        self._B_csc: sp.csc_matrix | None = None
-        self.n_classes = n_classes
-        self._coverage_counts = np.asarray(self.B.sum(axis=0)).ravel()
-        self._example_primitive_counts = np.diff(self.B.indptr)
-
-    @property
-    def B_csc(self) -> sp.csc_matrix:
-        """Column-major twin of ``B``, built lazily and cached."""
-        if self._B_csc is None:
-            self._B_csc = self.B.tocsc()
-        return self._B_csc
-
-    @property
-    def n_primitives(self) -> int:
-        return len(self.primitive_names)
-
-    def coverage_counts(self) -> np.ndarray:
-        """Number of train examples containing each primitive, shape (|Z|,)."""
-        return self._coverage_counts.copy()
-
-    def examples_with_primitives(self) -> np.ndarray:
-        """Boolean ``(n_train,)`` mask of examples containing ≥1 primitive."""
-        return self._example_primitive_counts > 0
-
-    def primitives_in(self, example_index: int) -> np.ndarray:
-        """Primitive ids present in the given train example.
-
-        Direct CSR index arithmetic — no intermediate sparse row object.
-        """
-        i = int(example_index)
-        return self.B.indices[self.B.indptr[i] : self.B.indptr[i + 1]].copy()
+        super().__init__(primitive_names, B)
+        self.n_classes = check_n_classes(n_classes)
 
     def make(self, primitive_id: int, label: int) -> MultiClassLF:
         """Construct the LF ``λ_{z,k}`` for a primitive id and class id."""
@@ -125,24 +93,6 @@ class MultiClassLFFamily:
             primitive=self.primitive_names[int(primitive_id)],
             label=int(label),
         )
-
-    def make_by_token(self, token: str, label: int) -> MultiClassLF:
-        """Construct an LF from a primitive token (raises if unknown)."""
-        try:
-            pid = self.primitive_names.index(token)
-        except ValueError:
-            raise KeyError(f"primitive {token!r} is not in the primitive domain") from None
-        return self.make(pid, label)
-
-    def explore_examples(self, primitive_id: int, k: int = 5, rng=None) -> np.ndarray:
-        """The primitive-based example explorer (paper Sec. 7), multiclass."""
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
-        rng = ensure_rng(rng)
-        covered = column_nonzero_rows(self.B_csc, primitive_id)
-        if covered.size <= k:
-            return np.sort(covered)
-        return np.sort(rng.choice(covered, size=k, replace=False))
 
     def empirical_class_mass(self, proxy_proba: np.ndarray) -> np.ndarray:
         """Accuracy of ``λ_{z,k}`` for every ``(z, k)`` under a soft proxy.

@@ -48,13 +48,9 @@ class MCMajorityVote(MultiClassLabelModel):
 
     def predict_proba(self, L: np.ndarray) -> np.ndarray:
         L = self._validated(L)
-        n = L.shape[0]
-        if L.shape[1] == 0:
-            return np.tile(self.class_priors, (n, 1))
+        proba = np.tile(self.class_priors, (L.shape[0], 1))
         counts = mc_vote_counts(L, self.n_classes)
-        total = counts.sum(axis=1, keepdims=True)
-        smoothed = counts + self.smoothing * self.class_priors[None, :]
-        proba = smoothed / smoothed.sum(axis=1, keepdims=True)
-        uncovered = (total == 0).ravel()
-        proba[uncovered] = self.class_priors
+        covered = counts.sum(axis=1) > 0
+        smoothed = counts[covered] + self.smoothing * self.class_priors[None, :]
+        proba[covered] = smoothed / smoothed.sum(axis=1, keepdims=True)
         return proba

@@ -1,47 +1,31 @@
-"""Multiclass label-matrix construction and diagnostics.
+"""The K-class vote alphabet bound to the shared label-matrix layer.
 
-The multiclass vote matrix follows the standard convention of the
-weak-supervision literature: ``L[i, j] ∈ {-1, 0, ..., K-1}`` with
-``MC_ABSTAIN = -1`` meaning *abstain* and every other value naming a class.
-This differs from the binary package's paper-native ``{-1, 0, +1}``
-encoding (where 0 abstains); the two conventions never mix — binary
-matrices flow through :mod:`repro.labelmodel`, multiclass ones through
-this subpackage.
+Multiclass votes are ``L[i, j] ∈ {-1, 0, ..., K-1}`` with ``MC_ABSTAIN = -1``
+meaning *abstain*; these names fix the ``abstain``/``labels`` arguments of
+the alphabet-generic functions in :mod:`repro.labelmodel.matrix`.
 """
 
-from __future__ import annotations
+from functools import partial
 
 import numpy as np
-import scipy.sparse as sp
 
-from repro.labelmodel.matrix import column_nonzero_rows
+from repro.labelmodel.matrix import (
+    abstain_counts, apply_lfs, check_n_classes, conflict_counts, coverage, coverage_mask,
+    label_vote_counts, lf_accuracies, summary, validate_label_matrix,
+)
 
 MC_ABSTAIN = -1
 
+apply_mc_lfs = partial(apply_lfs, abstain=MC_ABSTAIN)
+mc_coverage_mask = partial(coverage_mask, abstain=MC_ABSTAIN)
+mc_coverage = partial(coverage, abstain=MC_ABSTAIN)
+mc_abstain_counts = partial(abstain_counts, abstain=MC_ABSTAIN)
+mc_lf_accuracies = partial(lf_accuracies, abstain=MC_ABSTAIN)
+
 
 def validate_mc_label_matrix(L: np.ndarray, n_classes: int) -> np.ndarray:
-    """Check that ``L`` is 2-D with entries in {-1, 0, ..., K-1}; return int8.
-
-    Parameters
-    ----------
-    L:
-        Candidate vote matrix.
-    n_classes:
-        The number of classes ``K``; votes must be below this value.
-    """
-    if n_classes < 2:
-        raise ValueError(f"n_classes must be >= 2, got {n_classes}")
-    arr = np.asarray(L)
-    if arr.ndim != 2:
-        raise ValueError(f"label matrix must be 2-D, got shape {arr.shape}")
-    values = np.unique(arr)
-    bad = values[(values < MC_ABSTAIN) | (values >= n_classes)]
-    if bad.size:
-        raise ValueError(
-            f"label matrix entries must be in {{-1, 0, ..., {n_classes - 1}}}, "
-            f"found {sorted(bad.tolist())}"
-        )
-    return arr.astype(np.int8)
+    """Check that ``L`` is 2-D with entries in {-1, 0, ..., K-1}; return int8."""
+    return validate_label_matrix(L, MC_ABSTAIN, range(check_n_classes(n_classes)))
 
 
 def validate_mc_labels(name: str, y: np.ndarray, n_classes: int) -> np.ndarray:
@@ -49,112 +33,22 @@ def validate_mc_labels(name: str, y: np.ndarray, n_classes: int) -> np.ndarray:
     arr = np.asarray(y)
     if arr.ndim != 1:
         raise ValueError(f"{name} must be 1-D, got shape {arr.shape}")
-    values = np.unique(arr)
-    bad = values[(values < 0) | (values >= n_classes)]
+    bad = np.setdiff1d(arr, np.arange(n_classes))
     if bad.size:
-        raise ValueError(
-            f"{name} must contain classes in [0, {n_classes}), found {sorted(bad.tolist())}"
-        )
+        raise ValueError(f"{name} must contain classes in [0, {n_classes}), found {bad.tolist()}")
     return arr.astype(int)
 
 
-def apply_mc_lfs(lfs, B: sp.csr_matrix) -> np.ndarray:
-    """Apply multiclass primitive LFs to a primitive-incidence matrix.
-
-    Parameters
-    ----------
-    lfs:
-        Iterable of objects with ``primitive_id`` and ``label`` (class id)
-        attributes — see :class:`repro.multiclass.lf.MultiClassLF`.
-    B:
-        Binary ``(n, |Z|)`` incidence matrix.
-
-    Returns
-    -------
-    ``(n, m)`` int8 array with entries in {-1, 0, ..., K-1}.
-    """
-    lfs = list(lfs)
-    n = B.shape[0]
-    L = np.full((n, len(lfs)), MC_ABSTAIN, dtype=np.int8)
-    Bc = B.tocsc() if sp.issparse(B) else sp.csc_matrix(B)
-    for j, lf in enumerate(lfs):
-        L[column_nonzero_rows(Bc, lf.primitive_id), j] = lf.label
-    return L
-
-
-def mc_coverage_mask(L: np.ndarray) -> np.ndarray:
-    """Boolean ``(n,)`` mask of examples with at least one non-abstain vote."""
-    return (np.asarray(L) != MC_ABSTAIN).any(axis=1)
-
-
-def mc_coverage(L: np.ndarray) -> float:
-    """Fraction of examples covered by at least one LF."""
-    L = np.asarray(L)
-    if L.size == 0:
-        return 0.0
-    return float(mc_coverage_mask(L).mean())
-
-
 def mc_vote_counts(L: np.ndarray, n_classes: int) -> np.ndarray:
-    """Per-example per-class vote counts, shape ``(n, K)``.
-
-    ``counts[i, k]`` is the number of LFs voting class ``k`` on example
-    ``i``; abstains are not counted anywhere.
-    """
-    L = np.asarray(L)
-    counts = np.zeros((L.shape[0], n_classes), dtype=float)
-    for k in range(n_classes):
-        counts[:, k] = (L == k).sum(axis=1)
-    return counts
+    """Per-example per-class vote counts, shape ``(n, K)``, as floats."""
+    return label_vote_counts(L, range(n_classes)).astype(float)
 
 
 def mc_conflict_counts(L: np.ndarray, n_classes: int) -> np.ndarray:
-    """Per-example number of conflicting vote *pairs*.
-
-    Generalizes the binary ``p * q``: with per-class counts ``c_k`` on an
-    example, the number of unordered pairs of votes naming *different*
-    classes is ``(T² - Σ c_k²) / 2`` where ``T = Σ c_k``.
-    """
-    counts = mc_vote_counts(L, n_classes)
-    total = counts.sum(axis=1)
-    same_pairs = (counts**2).sum(axis=1)
-    return ((total**2 - same_pairs) / 2.0).astype(int)
-
-
-def mc_abstain_counts(L: np.ndarray) -> np.ndarray:
-    """Per-example number of abstaining LFs."""
-    L = np.asarray(L)
-    return (L == MC_ABSTAIN).sum(axis=1)
-
-
-def mc_lf_accuracies(L: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Per-LF empirical accuracy on covered examples (NaN if uncovered)."""
-    L = np.asarray(L)
-    y = np.asarray(y)
-    votes = L != MC_ABSTAIN
-    correct = (L == y[:, None]) & votes
-    n_votes = votes.sum(axis=0).astype(float)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        return np.where(n_votes > 0, correct.sum(axis=0) / n_votes, np.nan)
+    """Per-example number of vote pairs naming different classes."""
+    return conflict_counts(L, range(n_classes))
 
 
 def mc_summary(L: np.ndarray, n_classes: int, y: np.ndarray | None = None) -> dict[str, float]:
     """Aggregate diagnostics dict (coverage/overlap/conflict [+ accuracy])."""
-    L = np.asarray(L)
-    stats = {
-        "n_examples": float(L.shape[0]),
-        "n_lfs": float(L.shape[1]),
-        "coverage": mc_coverage(L),
-    }
-    if L.size:
-        n_votes = (L != MC_ABSTAIN).sum(axis=1)
-        stats["overlap"] = float((n_votes >= 2).mean())
-        stats["conflict"] = float((mc_conflict_counts(L, n_classes) > 0).mean())
-    else:
-        stats["overlap"] = 0.0
-        stats["conflict"] = 0.0
-    if y is not None and L.shape[1] > 0:
-        accs = mc_lf_accuracies(L, y)
-        if np.any(~np.isnan(accs)):
-            stats["mean_lf_accuracy"] = float(np.nanmean(accs))
-    return stats
+    return summary(L, y, abstain=MC_ABSTAIN, labels=range(n_classes))

@@ -136,6 +136,50 @@ class TestMulticlassConvention:
     def test_cached_instances(self):
         assert multiclass_convention(5) is multiclass_convention(5)
 
+    def test_n_classes_beyond_int8_rejected(self):
+        assert MulticlassVoteConvention(127).labels[-1] == 126
+        with pytest.raises(ValueError, match="int8"):
+            MulticlassVoteConvention(128)
+
+    def test_validate_matrix_rejects_non_integer_votes(self):
+        with pytest.raises(ValueError, match="entries must be in"):
+            MulticlassVoteConvention(3).validate_matrix(np.array([[1.5, -0.5]]))
+
+
+class TestSharedDiagnostics:
+    """The conventions hold no diagnostics of their own: they bind their
+    alphabet to the functions of :mod:`repro.labelmodel.matrix`."""
+
+    @pytest.mark.parametrize(
+        "method, arg",
+        [
+            ("coverage_mask", "abstain"),
+            ("abstain_counts", "abstain"),
+            ("conflict_counts", "labels"),
+            ("validate_matrix", None),
+        ],
+    )
+    @pytest.mark.parametrize("conv", [BINARY, MulticlassVoteConvention(4)], ids=["binary", "mc"])
+    def test_method_calls_shared_function(self, monkeypatch, conv, method, arg):
+        from repro.labelmodel import matrix as vote_matrix
+
+        target = "validate_label_matrix" if method == "validate_matrix" else method
+        calls = []
+
+        def spy(L, *args):
+            calls.append(args)
+            return "shared"
+
+        monkeypatch.setattr(vote_matrix, target, spy)
+        L = np.zeros((2, 1), dtype=np.int8)
+        assert getattr(conv, method)(L) == "shared"
+        expected = {
+            "abstain": (conv.abstain,),
+            "labels": (conv.labels,),
+            None: (conv.abstain, conv.labels),
+        }[arg]
+        assert calls == [expected]
+
 
 class TestConventionDispatch:
     def test_binary_dataset(self):

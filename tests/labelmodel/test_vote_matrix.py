@@ -109,6 +109,12 @@ class TestBinaryVoteMatrix:
         with pytest.raises(ValueError, match="abstain"):
             vm.append_rows(np.array([1]), 0)
 
+    def test_rejects_vote_value_beyond_int8(self):
+        vm = VoteMatrix(4, abstain=-1)
+        with pytest.raises(ValueError, match="int8"):
+            vm.append_rows(np.array([1, 2]), 150)
+        assert vm.m == 0 and not vm.coverage_mask().any()
+
     def test_rejects_negative_row_indices(self):
         # Negative indices would silently wrap to the end of the buffer,
         # corrupting both the votes and every running tally.

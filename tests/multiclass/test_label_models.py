@@ -1,5 +1,7 @@
 """Tests for the multiclass label models (majority vote + Dawid-Skene EM)."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -51,9 +53,27 @@ class TestMajorityVote:
         proba = MCMajorityVote(n_classes=3, smoothing=0.0).fit_predict_proba(L)
         np.testing.assert_allclose(proba[0], [0, 1, 0])
 
+    def test_no_smoothing_is_warning_free_on_uncovered_rows(self):
+        # Uncovered rows get the priors without a 0/0 division on the way.
+        priors = np.array([0.5, 0.3, 0.2])
+        L = np.array([[1, 1], [-1, -1], [0, 2]], dtype=np.int8)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            proba = MCMajorityVote(
+                n_classes=3, class_priors=priors, smoothing=0.0
+            ).fit_predict_proba(L)
+        np.testing.assert_array_equal(proba[1], priors)
+        np.testing.assert_allclose(proba[[0, 2]], [[0, 1, 0], [0.5, 0, 0.5]])
+
     def test_negative_smoothing_rejected(self):
         with pytest.raises(ValueError, match="smoothing"):
             MCMajorityVote(n_classes=3, smoothing=-1.0)
+
+    def test_n_classes_beyond_int8_rejected(self):
+        with pytest.raises(ValueError, match="int8"):
+            MCMajorityVote(n_classes=128)
+        with pytest.raises(ValueError, match="int8"):
+            MCDawidSkeneModel(n_classes=200)
 
     def test_bad_priors_rejected(self):
         with pytest.raises(ValueError, match="class_priors"):

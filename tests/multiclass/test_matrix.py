@@ -49,6 +49,26 @@ class TestValidation:
         with pytest.raises(ValueError, match="n_classes"):
             validate_mc_label_matrix(np.zeros((1, 1)), 1)
 
+    def test_non_integer_votes_rejected(self):
+        # Membership in the alphabet, not a numeric range: -0.5 must not
+        # be truncated into a vote for class 0, nor 1.5 into class 1.
+        with pytest.raises(ValueError, match="entries must be in"):
+            validate_mc_label_matrix(np.array([[1.5, -0.5]]), 3)
+
+    def test_integral_float_votes_accepted(self):
+        out = validate_mc_label_matrix(np.array([[1.0, -1.0]]), 3)
+        np.testing.assert_array_equal(out, [[1, -1]])
+        assert out.dtype == np.int8
+
+    def test_n_classes_beyond_int8_rejected(self):
+        # Class 150 would wrap to -106 in the int8 vote store.
+        with pytest.raises(ValueError, match="int8"):
+            validate_mc_label_matrix(np.array([[150]]), 200)
+
+    def test_labels_vector_non_integer_rejected(self):
+        with pytest.raises(ValueError, match="classes in"):
+            validate_mc_labels("y", np.array([0.5, 1.0]), 3)
+
     def test_labels_vector_valid(self):
         out = validate_mc_labels("y", np.array([0, 1, 2]), 3)
         assert out.dtype == int
