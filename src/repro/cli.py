@@ -679,7 +679,8 @@ def cmd_loadtest(args: argparse.Namespace) -> int:
         for command, entry in sm["commands"].items():
             print(
                 f"[loadtest]   {command:<8} n={entry['server_count']:<4} "
-                f"p50={entry['p50_ms']}ms p99={entry['p99_ms']}ms"
+                f"p50={entry['p50_ms']}ms p99={entry['p99_ms']}ms "
+                f"transport={entry['transport_p50_ms']}ms"
             )
     if problems:
         print("[loadtest] record FAILED its own schema check:")

@@ -30,7 +30,11 @@ harness scrapes ``GET /metrics`` and ``GET /statusz`` and cross-checks
 the server's own per-command request histograms against the client-side
 command totals — ``server_metrics`` in the record carries the server's
 p50/p99 alongside the client numbers, and the schema gate requires zero
-lost commands (every client-counted success accounted server-side).
+lost commands (every client-counted success accounted server-side).  The
+server accounts a request before sending its response, so that count is
+exact even when the scrape follows the last reply immediately.  The gate
+also bounds propose's transport residual (client p50 minus server p50),
+which catches a response path that stalls on the network.
 
 Usage::
 
@@ -63,6 +67,12 @@ SCHEMA_VERSION = 2
 #: Commands the schema requires latency aggregates for (a full lifecycle
 #: always issues these; ``decline`` appears only when the rule declines).
 REQUIRED_COMMANDS = ("create", "propose", "submit", "score")
+
+#: Ceiling on propose's transport residual (client p50 minus server p50).
+#: Propose's server time is under a millisecond, so the residual is the
+#: network path itself: a few ms on loopback, while a response held back
+#: by Nagle's algorithm until the client's delayed ACK adds 40 ms or more.
+MAX_PROPOSE_TRANSPORT_MS = 30.0
 
 
 # --------------------------------------------------------------------- #
@@ -163,7 +173,14 @@ def check_record(record: dict) -> list[str]:
                 if not isinstance(entry, dict):
                     problems.append(f"server_metrics.commands missing {command!r}")
                     continue
-                for key in ("server_count", "client_count", "lost", "p50_ms", "p99_ms"):
+                for key in (
+                    "server_count",
+                    "client_count",
+                    "lost",
+                    "p50_ms",
+                    "p99_ms",
+                    "transport_p50_ms",
+                ):
                     if key not in entry:
                         problems.append(
                             f"server_metrics.commands[{command!r}] missing {key!r}"
@@ -183,6 +200,16 @@ def check_record(record: dict) -> list[str]:
                         f"server_metrics.commands[{command!r}] percentiles invalid: "
                         f"p50={p50} p99={p99}"
                     )
+            transport = server_metrics["commands"].get("propose", {}).get("transport_p50_ms")
+            if not (
+                isinstance(transport, (int, float))
+                and transport < MAX_PROPOSE_TRANSPORT_MS
+            ):
+                problems.append(
+                    f"propose transport residual {transport} ms is not below "
+                    f"{MAX_PROPOSE_TRANSPORT_MS} ms (client p50 minus server p50); "
+                    "responses are stalling on the network path"
+                )
     cold = record["cold_start"]
     if cold is not None:
         for key in ("sessions", "wall_seconds", "sum_touch_seconds", "parallel_speedup"):
@@ -433,7 +460,9 @@ def scrape_server_metrics(
     estimate server-side p50/p99 from the scraped
     ``repro_http_request_seconds`` buckets.  ``lost`` > 0 anywhere means
     the server's accounting funnel dropped a command — the invariant the
-    schema gate enforces at zero.
+    schema gate enforces at zero.  ``transport_p50_ms`` is the client p50
+    minus that server p50 over the same requests: the time a command
+    spends outside the handler (connection, kernel, client parsing).
     """
     samples = parse_prometheus_text(text)
     commands = {}
@@ -457,12 +486,17 @@ def scrape_server_metrics(
         total = samples.get(f'repro_http_request_seconds_count{{command="{command}"}}', 0)
         lost = client_n - server_n
         lost_total += max(lost, 0)
+        server_p50 = _bucket_quantile_ms(buckets, total, 0.5)
+        client_p50 = float(np.percentile(values, 50)) * 1000.0
         commands[command] = {
             "client_count": client_n,
             "server_count": server_n,
             "lost": lost,
-            "p50_ms": _bucket_quantile_ms(buckets, total, 0.5),
+            "p50_ms": server_p50,
             "p99_ms": _bucket_quantile_ms(buckets, total, 0.99),
+            "transport_p50_ms": (
+                None if server_p50 is None else round(client_p50 - server_p50, 3)
+            ),
         }
     return {
         "commands": commands,

@@ -5,7 +5,13 @@ import json
 
 import pytest
 
-from repro.serve.loadtest import LoadTestConfig, check_record, decide, run_loadtest
+from repro.serve.loadtest import (
+    LoadTestConfig,
+    check_record,
+    decide,
+    run_loadtest,
+    scrape_server_metrics,
+)
 
 VALID = {
     "benchmark": "serve_latency",
@@ -40,6 +46,7 @@ VALID = {
                 "lost": 0,
                 "p50_ms": 3.5,
                 "p99_ms": 8.0,
+                "transport_p50_ms": 0.5,
             }
             for command in ("create", "propose", "submit", "score")
         },
@@ -115,8 +122,47 @@ class TestCheckRecord:
         record["server_metrics"]["commands"]["submit"]["p99_ms"] = 0.5  # < p50
         assert any("submit" in p for p in check_record(record))
 
+    def test_stalled_propose_transport_fails_the_gate(self):
+        record = copy.deepcopy(VALID)
+        record["server_metrics"]["commands"]["propose"]["transport_p50_ms"] = 45.0
+        assert any("transport" in p for p in check_record(record))
+
+    def test_loopback_propose_transport_passes(self):
+        record = copy.deepcopy(VALID)
+        record["server_metrics"]["commands"]["propose"]["transport_p50_ms"] = 3.0
+        assert check_record(record) == []
+
+    def test_missing_transport_residual_reported(self):
+        record = copy.deepcopy(VALID)
+        del record["server_metrics"]["commands"]["propose"]["transport_p50_ms"]
+        assert any("transport_p50_ms" in p for p in check_record(record))
+
     def test_record_is_json_serializable_shape(self):
         json.dumps(VALID)
+
+
+class TestScrapeServerMetrics:
+    def test_transport_is_client_p50_minus_server_p50(self):
+        # Server: 4 propose requests, all in the (1 ms, 2.5 ms] bucket, so
+        # the interpolated p50 is 1.75 ms; client p50 is 6.0 ms.
+        exposition = "\n".join(
+            [
+                'repro_http_requests_total{command="propose",outcome="200"} 4',
+                'repro_http_request_seconds_bucket{command="propose",le="0.001"} 0',
+                'repro_http_request_seconds_bucket{command="propose",le="0.0025"} 4',
+                'repro_http_request_seconds_bucket{command="propose",le="+Inf"} 4',
+                'repro_http_request_seconds_count{command="propose"} 4',
+                'repro_http_request_seconds_sum{command="propose"} 0.007',
+                "",
+            ]
+        )
+        scraped = scrape_server_metrics(
+            exposition, {}, {"propose": [0.005, 0.006, 0.006, 0.009]}
+        )
+        entry = scraped["commands"]["propose"]
+        assert entry["lost"] == 0
+        assert entry["p50_ms"] == 1.75
+        assert entry["transport_p50_ms"] == 4.25
 
 
 class TestDecide:

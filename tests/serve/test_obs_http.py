@@ -64,8 +64,8 @@ class TestErrorPathAccounting:
             raw.close()
         assert b"413" in response.split(b"\r\n", 1)[0]
 
-        # The response is written *before* the funnel accounts it; give
-        # the handler thread a beat to finish the accounting call.
+        # The funnel accounts a request before sending its response, so
+        # the counts below are already final; the poll is only a guard.
         deadline = time.monotonic() + 5.0
         while time.monotonic() < deadline:
             if _http_outcomes(manager).get(("create", "413"), 0) >= 1:

@@ -18,7 +18,11 @@ Exercises the full serve-path durability story end-to-end over real HTTP:
    the exposition (non-empty, expected metric families present, counters
    monotonic across scrapes, ``/statusz`` command counts populated).
    When ``SERVE_SMOKE_METRICS_OUT`` is set, the final metrics + statusz
-   snapshot is written there as JSON (CI uploads it as an artifact).
+   snapshot is written there as JSON (CI uploads it as an artifact);
+6. right after the reference run's last command, with no sleep or poll,
+   scrape ``/metrics`` and require that every command the client saw
+   succeed has exactly that many 200s server-side — the server accounts
+   a request before it sends the response.
 
 Exit code 0 on success; prints the failed assertion otherwise.
 
@@ -34,6 +38,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from collections import Counter
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -59,7 +64,30 @@ def check(condition: bool, message: str) -> None:
         raise SystemExit(1)
 
 
-def start_server(root: Path) -> tuple[subprocess.Popen, SessionClient]:
+def command_label(method: str, path: str) -> str:
+    """The server's metrics label for a request (``serve/http.py``)."""
+    parts = [p for p in path.split("/") if p]
+    if parts[0] != "sessions":
+        return parts[0]
+    if len(parts) == 1:
+        return "list" if method == "GET" else "create"
+    return "info" if len(parts) == 2 else parts[2]
+
+
+class CountingClient(SessionClient):
+    """A client that counts the commands it saw succeed, by metrics label."""
+
+    def __init__(self, base_url: str, timeout: float = 30.0) -> None:
+        super().__init__(base_url, timeout=timeout)
+        self.succeeded: Counter[str] = Counter()
+
+    def _request_raw(self, method: str, path: str, body: dict | None = None):
+        result = super()._request_raw(method, path, body)
+        self.succeeded[command_label(method, path)] += 1
+        return result
+
+
+def start_server(root: Path) -> tuple[subprocess.Popen, CountingClient]:
     env = dict(os.environ)
     env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
     proc = subprocess.Popen(
@@ -87,7 +115,7 @@ def start_server(root: Path) -> tuple[subprocess.Popen, SessionClient]:
         f"unexpected server handshake: {line!r}",
     )
     url = line.split("serving sessions on ", 1)[1].split(" ", 1)[0]
-    client = SessionClient(url, timeout=60.0)
+    client = CountingClient(url, timeout=60.0)
     deadline = time.monotonic() + 30.0
     while True:
         try:
@@ -167,6 +195,34 @@ EXPECTED_FAMILIES = (
 )
 
 
+def check_exact_counts(client: CountingClient) -> None:
+    """Every client-counted success has exactly its 200-count on /metrics.
+
+    Scraped at once, with no sleep or poll, and over a fresh connection:
+    a kept-alive connection is served by the same handler thread as the
+    last command, which would order the scrape after that command's
+    accounting whether or not the server accounts before it responds.
+    """
+    scraper = SessionClient(client.base_url, timeout=60.0)
+    try:
+        samples = parse_prometheus_text(scraper.metrics())
+    finally:
+        scraper.close()
+    for command, count in sorted(client.succeeded.items()):
+        served = samples.get(
+            f'repro_http_requests_total{{command="{command}",outcome="200"}}', 0
+        )
+        check(
+            served == count,
+            f"/metrics counts {served} {command} 200s right after the last "
+            f"reply; the client saw {count}",
+        )
+    print(
+        f"[serve-smoke] exact counts OK: {sum(client.succeeded.values())} "
+        f"commands across {len(client.succeeded)} kinds"
+    )
+
+
 def check_metrics(client: SessionClient) -> dict:
     """Scrape /metrics twice and schema-check the exposition.
 
@@ -226,6 +282,7 @@ def main() -> int:
             drive(client, ref_curve)
             ref_lfs = final_lfs(client)
             ref_score = client.score(SESSION)["test_score"]
+            check_exact_counts(client)
             artifact = check_metrics(client)
         finally:
             proc.send_signal(signal.SIGTERM)
