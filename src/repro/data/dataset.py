@@ -220,12 +220,14 @@ def featurize_splits(
         len(corpus), valid_ratio=valid_ratio, test_ratio=test_ratio, seed=seed
     )
     vectorizer = TfidfVectorizer(min_df=min_df, max_df_ratio=max_df_ratio)
-    vectorizer.fit([corpus.texts[i] for i in train_idx])
 
     splits: dict[str, Split] = {}
     for split_name, idx in zip(SPLIT_NAMES, (train_idx, valid_idx, test_idx)):
         texts = [corpus.texts[i] for i in idx]
-        X = vectorizer.transform(texts)
+        if split_name == "train":
+            X = vectorizer.fit_transform(texts)
+        else:
+            X = vectorizer.transform(texts)
         B = X.copy().tocsr()
         B.data = np.ones_like(B.data)
         splits[split_name] = Split(

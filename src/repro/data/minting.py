@@ -12,7 +12,7 @@ every bank to realistic sizes while keeping documents pronounceable.
 
 from __future__ import annotations
 
-from repro.utils.rng import ensure_rng
+from repro.utils.rng import ensure_rng, uniform_pick
 
 _ONSETS = (
     "b", "br", "c", "ch", "cl", "d", "dr", "f", "fl", "g", "gr", "h", "j",
@@ -27,9 +27,9 @@ def mint_word(rng, n_syllables: int) -> str:
     """One pronounceable pseudo-word with the given syllable count."""
     parts = []
     for idx in range(n_syllables):
-        onset = str(rng.choice(_ONSETS))
-        vowel = str(rng.choice(_VOWELS))
-        coda = str(rng.choice(_CODAS)) if idx == n_syllables - 1 else ""
+        onset = uniform_pick(rng, _ONSETS)
+        vowel = uniform_pick(rng, _VOWELS)
+        coda = uniform_pick(rng, _CODAS) if idx == n_syllables - 1 else ""
         parts.append(onset + vowel + coda)
     return "".join(parts)
 

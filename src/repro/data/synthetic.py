@@ -16,17 +16,42 @@ Nemo's contributions exploit (paper Figures 2 and 3, Example 1.1):
    exactly what the LF contextualizer (Eq. 4) is designed to exploit.
 
 All sampling is driven by an explicit :class:`numpy.random.Generator`, so
-corpora are fully reproducible from a single seed.
+corpora are fully reproducible from a single seed.  Weighted draws bisect a
+CDF cached per bank size (:func:`~repro.utils.rng.choice_cdf`).  Every draw
+must stay the one ``rng.choice`` would make from the same stream position:
+every dataset, golden transcript and bench row is built on that stream.
 """
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.utils.rng import ensure_rng
+from repro.utils.rng import choice_cdf, ensure_rng, uniform_pick
 from repro.utils.validation import check_in_range, check_positive
+
+
+def check_cluster_weight(cluster) -> None:
+    """Raise ``ValueError`` unless ``cluster.weight`` is finite and >= 0.
+
+    Zero is legal: a zero-weight cluster is never drawn.
+    """
+    if not (math.isfinite(cluster.weight) and cluster.weight >= 0):
+        raise ValueError(
+            f"weight of cluster {cluster.name!r} must be finite and >= 0, "
+            f"got {cluster.weight!r}"
+        )
+
+
+def check_clusters(clusters) -> None:
+    """Raise ``ValueError`` unless there is a cluster and the weights sum > 0."""
+    if not clusters:
+        raise ValueError("at least one cluster is required")
+    if not any(cluster.weight > 0 for cluster in clusters):
+        raise ValueError("clusters must have a positive total weight, got all zero")
 
 
 @dataclass(frozen=True)
@@ -51,6 +76,14 @@ class ClusterSpec:
     local_positive: tuple[str, ...] = ()
     local_negative: tuple[str, ...] = ()
     weight: float = 1.0
+
+    def __post_init__(self) -> None:
+        check_cluster_weight(self)
+
+    @property
+    def local_words(self) -> tuple[str, ...]:
+        """Every local cue word, positives first."""
+        return (*self.local_positive, *self.local_negative)
 
 
 @dataclass(frozen=True)
@@ -133,8 +166,7 @@ class CorpusSpec:
         check_in_range("local_leak", self.local_leak, 0.0, 1.0)
         if self.zipf_exponent < 0:
             raise ValueError(f"zipf_exponent must be >= 0, got {self.zipf_exponent}")
-        if not self.clusters:
-            raise ValueError("at least one cluster is required")
+        check_clusters(self.clusters)
 
 
 @dataclass
@@ -162,22 +194,46 @@ class CorpusGenerator:
 
     def __init__(self, spec: CorpusSpec) -> None:
         self.spec = spec
-        self._cluster_weights = np.array([c.weight for c in spec.clusters], float)
-        self._cluster_weights /= self._cluster_weights.sum()
-        self._zipf_cache: dict[int, np.ndarray] = {}
+        weights = np.array([c.weight for c in spec.clusters], float)
+        self._cluster_cdf = choice_cdf(weights / weights.sum())
+        n_clusters = len(spec.clusters)
+        self._other_clusters = [
+            tuple(i for i in range(n_clusters) if i != c) for c in range(n_clusters)
+        ]
+        self._zipf_cdfs: dict[int, list[float]] = {}
 
     def _pick(self, rng: np.random.Generator, bank) -> str:
         """Sample one word from a bank under the spec's Zipf law."""
         n = len(bank)
         if n == 1:
             return str(bank[0])
-        probs = self._zipf_cache.get(n)
-        if probs is None:
+        cdf = self._zipf_cdfs.get(n)
+        if cdf is None:
             ranks = np.arange(1, n + 1, dtype=float)
             weights = ranks ** (-self.spec.zipf_exponent)
-            probs = weights / weights.sum()
-            self._zipf_cache[n] = probs
-        return str(bank[int(rng.choice(n, p=probs))])
+            cdf = self._zipf_cdfs[n] = choice_cdf(weights / weights.sum())
+        return str(bank[bisect_right(cdf, rng.random())])
+
+    def _borrow_candidates(
+        self, foreign: dict[tuple[str, int], int], labels
+    ) -> dict[tuple[int, int, int], list[str]]:
+        """Borrowable cue words keyed by ``(source cluster, cluster, label)``.
+
+        A borrowed local cue from ``source`` may appear in ``cluster`` for a
+        document labelled ``label`` only if its foreign draw (fixed per
+        corpus) names that label there.
+        """
+        n_clusters = len(self.spec.clusters)
+        return {
+            (src, c, label): [
+                w
+                for w in self.spec.clusters[src].local_words
+                if foreign.get((w, c)) == label
+            ]
+            for src in range(n_clusters)
+            for c in self._other_clusters[src]
+            for label in labels
+        }
 
     def generate(self, n_docs: int, seed=None) -> SyntheticCorpus:
         """Generate ``n_docs`` documents.
@@ -190,15 +246,15 @@ class CorpusGenerator:
         check_positive("n_docs", n_docs)
         rng = ensure_rng(seed)
         spec = self.spec
-        foreign_polarity = self._sample_foreign_polarities(rng)
+        borrowed = self._borrow_candidates(self._sample_foreign_polarities(rng), (1, -1))
         texts: list[str] = []
         labels = np.empty(n_docs, dtype=int)
         clusters = np.empty(n_docs, dtype=int)
         for i in range(n_docs):
-            c = int(rng.choice(len(spec.clusters), p=self._cluster_weights))
+            c = bisect_right(self._cluster_cdf, rng.random())
             y = 1 if rng.random() < spec.positive_ratio else -1
             length = max(int(rng.poisson(spec.mean_doc_length)), spec.min_doc_length)
-            tokens = [self._sample_token(rng, c, y, foreign_polarity) for _ in range(length)]
+            tokens = [self._sample_token(rng, c, y, borrowed) for _ in range(length)]
             texts.append(" ".join(tokens))
             labels[i] = y
             clusters[i] = c
@@ -230,7 +286,7 @@ class CorpusGenerator:
         spec = self.spec
         polarity: dict[tuple[str, int], int] = {}
         for home_idx, home in enumerate(spec.clusters):
-            for word in (*home.local_positive, *home.local_negative):
+            for word in home.local_words:
                 for other_idx in range(len(spec.clusters)):
                     if other_idx == home_idx:
                         continue
@@ -242,7 +298,7 @@ class CorpusGenerator:
         rng: np.random.Generator,
         cluster_idx: int,
         label: int,
-        foreign_polarity: dict[tuple[str, int], int],
+        borrowed: dict[tuple[int, int, int], list[str]],
     ) -> str:
         spec = self.spec
         cluster = spec.clusters[cluster_idx]
@@ -260,27 +316,21 @@ class CorpusGenerator:
             emitted = label if rng.random() < reliability else -label
             bank = spec.global_positive if emitted == 1 else spec.global_negative
             return self._pick(rng, bank)
-        return self._sample_local_cue(rng, cluster_idx, label, foreign_polarity)
+        return self._sample_local_cue(rng, cluster_idx, label, borrowed)
 
     def _sample_local_cue(
         self,
         rng: np.random.Generator,
         cluster_idx: int,
         label: int,
-        foreign_polarity: dict[tuple[str, int], int],
+        borrowed: dict[tuple[int, int, int], list[str]],
     ) -> str:
         spec = self.spec
         cluster = spec.clusters[cluster_idx]
         borrow = rng.random() < spec.local_leak and len(spec.clusters) > 1
         if borrow:
-            other_indices = [i for i in range(len(spec.clusters)) if i != cluster_idx]
-            src_idx = int(rng.choice(other_indices))
-            src = spec.clusters[src_idx]
-            candidates = [
-                w
-                for w in (*src.local_positive, *src.local_negative)
-                if foreign_polarity.get((w, cluster_idx), 0) == label
-            ]
+            src_idx = uniform_pick(rng, self._other_clusters[cluster_idx])
+            candidates = borrowed[(src_idx, cluster_idx, label)]
             if candidates:
                 return self._pick(rng, candidates)
             # No borrowed word carries this label in this cluster; fall through

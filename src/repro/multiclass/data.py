@@ -4,12 +4,14 @@ The K-class counterparts of :mod:`repro.data.synthetic` /
 :mod:`repro.data.dataset`, built on their shared parts (the Zipf word
 picker, the split-and-featurize helper, the split accessors).  The label
 draw stays K-class: the binary generator draws ``rng.random() <
-positive_ratio``, this one ``rng.choice(K, p=priors)``, and merging them
-would change every generated corpus.  The generator keeps the two structural phenomena the paper's
-contributions exploit — cluster-local generalization and distance-decaying
-LF accuracy — but with K per-class cue banks: *global* cues name their class
-reliably everywhere, while *local* cues are reliable only inside their home
-cluster and re-randomized (over all K classes) elsewhere.
+positive_ratio``, this one bisects the class priors' cached CDF (the same
+draw ``rng.choice(K, p=priors)`` makes from the same stream), and merging
+them would change every generated corpus.  The generator keeps the two
+structural phenomena the paper's contributions exploit — cluster-local
+generalization and distance-decaying LF accuracy — but with K per-class
+cue banks: *global* cues name their class reliably everywhere, while
+*local* cues are reliable only inside their home cluster and re-randomized
+(over all K classes) elsewhere.
 
 The bundled recipe, :func:`make_topics_dataset`, is an AG-News-flavoured
 4-topic classification task (world / sports / business / tech) built on the
@@ -18,15 +20,17 @@ same skeleton as the binary recipes.
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.data.dataset import Split, SplitAccessors, featurize_splits
 from repro.data.minting import mint_words
-from repro.data.synthetic import CorpusGenerator
+from repro.data.synthetic import CorpusGenerator, check_cluster_weight, check_clusters
 from repro.data.wordbanks import COMMON_FILLER
-from repro.utils.rng import ensure_rng
+from repro.utils.rng import choice_cdf, ensure_rng, uniform_pick
 from repro.utils.validation import check_in_range, check_positive
 
 
@@ -51,6 +55,14 @@ class MCClusterSpec:
     marker_words: tuple[str, ...]
     local_cues: tuple[tuple[str, ...], ...] = ()
     weight: float = 1.0
+
+    def __post_init__(self) -> None:
+        check_cluster_weight(self)
+
+    @property
+    def local_words(self) -> tuple[str, ...]:
+        """Every local cue word, bank by bank."""
+        return tuple(w for bank in self.local_cues for w in bank)
 
 
 @dataclass(frozen=True)
@@ -114,8 +126,7 @@ class MCCorpusSpec:
             raise ValueError(
                 f"global_cues must have {self.n_classes} banks, got {len(self.global_cues)}"
             )
-        if not self.clusters:
-            raise ValueError("at least one cluster is required")
+        check_clusters(self.clusters)
         for cluster in self.clusters:
             if cluster.local_cues and len(cluster.local_cues) != self.n_classes:
                 raise ValueError(
@@ -128,8 +139,11 @@ class MCCorpusSpec:
                     f"class_priors must have length {self.n_classes}, "
                     f"got {len(self.class_priors)}"
                 )
-            if any(p <= 0 for p in self.class_priors):
-                raise ValueError("class_priors must be strictly positive")
+            if not all(math.isfinite(p) and p > 0 for p in self.class_priors):
+                raise ValueError(
+                    f"class_priors must be finite and strictly positive, "
+                    f"got {self.class_priors!r}"
+                )
         check_positive("mean_doc_length", self.mean_doc_length)
         total = self.p_common + self.p_marker + self.p_global + self.p_local
         if not np.isclose(total, 1.0):
@@ -181,16 +195,18 @@ class MCCorpusGenerator(CorpusGenerator):
         check_positive("n_docs", n_docs)
         rng = ensure_rng(seed)
         spec = self.spec
-        priors = spec.priors_array()
-        foreign_class = self._sample_foreign_classes(rng)
+        prior_cdf = choice_cdf(spec.priors_array())
+        borrowed = self._borrow_candidates(
+            self._sample_foreign_classes(rng), range(spec.n_classes)
+        )
         texts: list[str] = []
         labels = np.empty(n_docs, dtype=int)
         clusters = np.empty(n_docs, dtype=int)
         for i in range(n_docs):
-            c = int(rng.choice(len(spec.clusters), p=self._cluster_weights))
-            y = int(rng.choice(spec.n_classes, p=priors))
+            c = bisect_right(self._cluster_cdf, rng.random())
+            y = bisect_right(prior_cdf, rng.random())
             length = max(int(rng.poisson(spec.mean_doc_length)), spec.min_doc_length)
-            tokens = [self._sample_token(rng, c, y, foreign_class) for _ in range(length)]
+            tokens = [self._sample_token(rng, c, y, borrowed) for _ in range(length)]
             texts.append(" ".join(tokens))
             labels[i] = y
             clusters[i] = c
@@ -220,11 +236,10 @@ class MCCorpusGenerator(CorpusGenerator):
         spec = self.spec
         mapping: dict[tuple[str, int], int] = {}
         for home_idx, home in enumerate(spec.clusters):
-            for bank in home.local_cues:
-                for word in bank:
-                    for other_idx in range(len(spec.clusters)):
-                        if other_idx != home_idx:
-                            mapping[(word, other_idx)] = int(rng.integers(spec.n_classes))
+            for word in home.local_words:
+                for other_idx in range(len(spec.clusters)):
+                    if other_idx != home_idx:
+                        mapping[(word, other_idx)] = int(rng.integers(spec.n_classes))
         return mapping
 
     def _emit_class(self, rng: np.random.Generator, label: int, reliability: float) -> int:
@@ -232,14 +247,14 @@ class MCCorpusGenerator(CorpusGenerator):
         if rng.random() < reliability:
             return label
         others = [k for k in range(self.spec.n_classes) if k != label]
-        return int(rng.choice(others))
+        return uniform_pick(rng, others)
 
     def _sample_token(
         self,
         rng: np.random.Generator,
         cluster_idx: int,
         label: int,
-        foreign_class: dict[tuple[str, int], int],
+        borrowed: dict[tuple[int, int, int], list[str]],
     ) -> str:
         spec = self.spec
         cluster = spec.clusters[cluster_idx]
@@ -253,27 +268,21 @@ class MCCorpusGenerator(CorpusGenerator):
         if roll < spec.p_global:
             emitted = self._emit_class(rng, label, spec.global_reliability)
             return self._pick(rng, spec.global_cues[emitted])
-        return self._sample_local_cue(rng, cluster_idx, label, foreign_class)
+        return self._sample_local_cue(rng, cluster_idx, label, borrowed)
 
     def _sample_local_cue(
         self,
         rng: np.random.Generator,
         cluster_idx: int,
         label: int,
-        foreign_class: dict[tuple[str, int], int],
+        borrowed: dict[tuple[int, int, int], list[str]],
     ) -> str:
         spec = self.spec
         cluster = spec.clusters[cluster_idx]
         borrow = rng.random() < spec.local_leak and len(spec.clusters) > 1
         if borrow:
-            other_indices = [i for i in range(len(spec.clusters)) if i != cluster_idx]
-            src = spec.clusters[int(rng.choice(other_indices))]
-            candidates = [
-                w
-                for bank in src.local_cues
-                for w in bank
-                if foreign_class.get((w, cluster_idx)) == label
-            ]
+            src_idx = uniform_pick(rng, self._other_clusters[cluster_idx])
+            candidates = borrowed[(src_idx, cluster_idx, label)]
             if candidates:
                 return self._pick(rng, candidates)
             # No borrowed word carries this class here; fall through to home.

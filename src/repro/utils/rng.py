@@ -9,6 +9,7 @@ normalization here keeps every experiment reproducible from a single integer.
 from __future__ import annotations
 
 import hashlib
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -66,3 +67,38 @@ def stable_hash_seed(*parts: object) -> int:
     """
     digest = hashlib.sha256("::".join(str(p) for p in parts).encode("utf-8")).digest()
     return int.from_bytes(digest[:4], "little")
+
+
+def choice_cdf(probs) -> list[float]:
+    """The CDF ``Generator.choice(len(probs), p=probs)`` builds, as a list.
+
+    numpy recomputes ``cdf = p.cumsum(); cdf /= cdf[-1]`` on every weighted
+    ``choice`` call and returns ``cdf.searchsorted(rng.random(),
+    side="right")``.  Building the CDF once with the same float operations
+    lets ``bisect.bisect_right(cdf, rng.random())`` return the same index
+    from the same single double, without the per-call validation.  A
+    zero-probability entry repeats its predecessor's CDF value, so it is
+    never drawn.
+
+    Examples
+    --------
+    >>> import bisect
+    >>> cdf = choice_cdf([0.2, 0.0, 0.8])
+    >>> a, b = ensure_rng(3), ensure_rng(3)
+    >>> [bisect.bisect_right(cdf, a.random()) for _ in range(8)] == [
+    ...     int(b.choice(3, p=[0.2, 0.0, 0.8])) for _ in range(8)]
+    True
+    """
+    cdf = np.asarray(probs, dtype=float).cumsum()
+    cdf /= cdf[-1]
+    return cdf.tolist()
+
+
+def uniform_pick(rng: np.random.Generator, seq: Sequence):
+    """``rng.choice(seq)`` for a non-empty sequence, without the array copy.
+
+    Draws the same ``integers(0, len(seq))`` index numpy's unweighted
+    ``choice`` draws, so it returns the same element and leaves the same
+    generator state.
+    """
+    return seq[int(rng.integers(0, len(seq)))]

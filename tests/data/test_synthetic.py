@@ -1,5 +1,7 @@
 """Tests for the synthetic corpus generator."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -63,6 +65,28 @@ class TestSpecValidation:
     def test_negative_zipf_rejected(self):
         with pytest.raises(ValueError):
             small_spec(zipf_exponent=-1.0)
+
+    def test_negative_cluster_weight_rejected(self):
+        with pytest.raises(ValueError, match="weight of cluster 'c'"):
+            ClusterSpec(name="c", marker_words=("m",), weight=-1.0)
+
+    @pytest.mark.parametrize("weight", [float("nan"), float("inf")])
+    def test_non_finite_cluster_weight_rejected(self, weight):
+        with pytest.raises(ValueError, match="weight of cluster 'c'"):
+            ClusterSpec(name="c", marker_words=("m",), weight=weight)
+
+    def test_all_zero_cluster_weights_rejected(self):
+        zero = tuple(
+            ClusterSpec(name=f"c{k}", marker_words=("m",), weight=0.0) for k in range(2)
+        )
+        with pytest.raises(ValueError, match="clusters must have a positive total weight"):
+            small_spec(clusters=zero)
+
+    def test_zero_weight_cluster_legal_and_never_drawn(self):
+        base = small_spec().clusters
+        clusters = (base[0], replace(base[1], weight=0.0))
+        corpus = CorpusGenerator(small_spec(clusters=clusters)).generate(400, seed=0)
+        assert set(corpus.clusters.tolist()) == {0}
 
 
 class TestGeneration:

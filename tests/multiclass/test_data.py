@@ -1,5 +1,7 @@
 """Tests for the multiclass corpus generator and featurization."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -85,6 +87,34 @@ class TestSpecValidation:
                 common_words=("the",),
                 class_priors=(0.5, 0.5),
             )
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_priors_rejected(self, bad):
+        with pytest.raises(ValueError, match="class_priors must be finite"):
+            MCCorpusSpec(
+                name="bad",
+                n_classes=2,
+                clusters=tiny_spec(2).clusters,
+                global_cues=(("g0",), ("g1",)),
+                common_words=("the",),
+                class_priors=(1.0, bad),
+            )
+
+    @pytest.mark.parametrize("weight", [-0.5, float("nan"), float("inf")])
+    def test_bad_cluster_weight_rejected(self, weight):
+        with pytest.raises(ValueError, match="weight of cluster 'c'"):
+            MCClusterSpec(name="c", marker_words=("m",), weight=weight)
+
+    def test_all_zero_cluster_weights_rejected(self):
+        zero = tuple(replace(c, weight=0.0) for c in tiny_spec().clusters)
+        with pytest.raises(ValueError, match="clusters must have a positive total weight"):
+            replace(tiny_spec(), clusters=zero)
+
+    def test_zero_weight_cluster_legal_and_never_drawn(self):
+        spec = tiny_spec()
+        clusters = (replace(spec.clusters[0], weight=0.0), spec.clusters[1])
+        corpus = MCCorpusGenerator(replace(spec, clusters=clusters)).generate(300, seed=0)
+        assert set(corpus.clusters.tolist()) == {1}
 
     def test_priors_array_normalizes(self):
         spec = MCCorpusSpec(

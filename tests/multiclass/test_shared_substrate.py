@@ -48,6 +48,7 @@ class TestData:
         assert issubclass(MCCorpusGenerator, CorpusGenerator)
         assert "__init__" not in vars(MCCorpusGenerator)
         assert "_pick" not in vars(MCCorpusGenerator)
+        assert "_borrow_candidates" not in vars(MCCorpusGenerator)
         # The label draws differ on purpose, so generate stays its own.
         assert MCCorpusGenerator.generate is not CorpusGenerator.generate
 
