@@ -5,9 +5,9 @@ paper's *results*), this benchmark records the *performance trajectory* of
 the interactive loop itself: iterations/second of the full
 select → develop → refit step at several training-set sizes, for
 
-* the **scratch** path (``warm_start=False, full_refit_every=1``) — the
-  from-scratch refit semantics of the seed implementation, recorded as the
-  baseline; and
+* the **scratch** path (``full_refit_every=1``: every refit cold and
+  uncapped) — the from-scratch refit semantics of the seed
+  implementation, recorded as the baseline; and
 * the **incremental** path (the engine defaults: warm-started label/end
   model refits with capped inner iterations, k-step cold backstops,
   sparse-native LF application, refit-scoped SEU caching).
@@ -188,7 +188,7 @@ def build_mc_dataset(n_train: int, seed: int):
 
 
 ENGINE_MODES = {
-    "scratch": {"warm_start": False, "full_refit_every": 1},
+    "scratch": {"full_refit_every": 1},
     "incremental": {},  # the engine defaults ARE the incremental config
 }
 

@@ -37,10 +37,10 @@ contract):
    selectors that never read it), with every cold refit refreshing
    eagerly.
 
-Setting ``warm_start=False`` and ``full_refit_every=1`` reproduces the
-from-scratch semantics of the original sessions exactly — that
-configuration is both the regression baseline for the equivalence tests and
-the recorded baseline of ``benchmarks/bench_perf_session.py``.
+Setting ``full_refit_every=1`` reproduces the from-scratch semantics of
+the original sessions exactly — that configuration is both the regression
+baseline for the equivalence tests and the recorded baseline of
+``benchmarks/bench_perf_session.py``.
 
 The atomic step itself is expressed as a two-phase **command protocol**
 (ENGINE.md §6): :meth:`IncrementalSessionEngine.propose` runs the
@@ -79,25 +79,17 @@ from repro.utils.rng import ensure_rng, stable_hash_seed
 #: expensive path the minibatch continuation exists to replace.
 MINIBATCH_MIN_COVERED = 1000
 
+#: EM iteration cap of a warm label-model refit (``fit_warm``); cold
+#: refits are never capped.
+WARM_LABEL_ITER = 3
+
+#: L-BFGS iteration cap of a warm end-model refit that cannot take the
+#: minibatch continuation (no ``fit_minibatch``, or a covered set below
+#: the gate of ``_fit_end_model``); backstop fits run uncapped.
+WARM_END_ITER = 15
+
 #: The IDP phases attributed by the engine's built-in timing bookkeeping.
 PHASES = ("select", "develop", "label_model", "end_model")
-
-#: Base cadence of the drift-adaptive backstop (``full_refit_every="auto"``):
-#: every ``AUTO_REFIT_BASE``-th refit is a backstop *candidate*, skipped
-#: when the warm trajectory measurably stayed near the last cold anchor.
-AUTO_REFIT_BASE = 10
-
-#: Max-abs parameter drift (current warm label model vs the last cold
-#: anchor, aligned on the shared column prefix) below which an "auto"
-#: backstop candidate is skipped.  All label-model parameters here are
-#: probabilities/accuracies in [0, 1], so one absolute threshold is
-#: meaningful across models.
-AUTO_DRIFT_TOL = 0.02
-
-#: Consecutive skips allowed before an "auto" backstop fires regardless of
-#: measured drift — bounds worst-case staleness at
-#: ``AUTO_REFIT_BASE * (AUTO_MAX_SKIPS + 1)`` refits.
-AUTO_MAX_SKIPS = 3
 
 
 class IncrementalSessionEngine:
@@ -126,8 +118,10 @@ class IncrementalSessionEngine:
     (human think-time) accrues separately on the transient
     ``open_interval_seconds`` so serve latency attribution is never
     polluted by it.  Per-command attribution additionally flows to an
-    optional transient ``observer`` (see ``repro.obs`` and ENGINE.md §9);
-    none of that state enters :meth:`state_dict`.
+    optional transient ``observer`` (see ``repro.obs`` and ENGINE.md §9).
+    None of that state — ``phase_timings`` included — enters
+    :meth:`state_dict`: clock readings would make two snapshots of the
+    same session differ, so a restore leaves the totals untouched.
     """
 
     #: The session's vote convention; subclasses MUST assign one (class or
@@ -151,31 +145,51 @@ class IncrementalSessionEngine:
         contextualizer,
         percentile_tuner,
         tune_every: int,
-        warm_start: bool = True,
-        full_refit_every: int | str = 10,
+        full_refit_every: int = 10,
         warm_after: int = 8,
-        warm_label_iter: int = 3,
-        warm_end_iter: int = 15,
         warm_min_train: int = 2000,
     ) -> None:
-        if tune_every < 1:
-            raise ValueError(f"tune_every must be >= 1, got {tune_every}")
-        if isinstance(full_refit_every, str):
-            if full_refit_every != "auto":
-                raise ValueError(
-                    f"full_refit_every must be an int >= 1 or 'auto', "
-                    f"got {full_refit_every!r}"
-                )
-        elif full_refit_every < 1:
-            raise ValueError(f"full_refit_every must be >= 1, got {full_refit_every}")
-        if warm_after < 0:
-            raise ValueError(f"warm_after must be >= 0, got {warm_after}")
-        if warm_label_iter < 1:
-            raise ValueError(f"warm_label_iter must be >= 1, got {warm_label_iter}")
-        if warm_end_iter < 1:
-            raise ValueError(f"warm_end_iter must be >= 1, got {warm_end_iter}")
-        if warm_min_train < 0:
-            raise ValueError(f"warm_min_train must be >= 0, got {warm_min_train}")
+        """Bind the IDP components and the refit schedule.
+
+        The component arguments are documented on the session classes.
+        The schedule (ENGINE.md §2) decides, per refit, whether the label
+        model is fitted cold or warm-started (``fit_warm`` capped at
+        :data:`WARM_LABEL_ITER` EM iterations) and whether the end model
+        is fitted uncapped or continued warm (the minibatch continuation
+        of ENGINE.md §7, or an L-BFGS fit capped at
+        :data:`WARM_END_ITER`).  Warm refits also defer the proxy refresh
+        to the first selector read (ENGINE.md §4).
+
+        tune_every:
+            Cadence, in LFs, of percentile re-tuning once past the first
+            six LFs (:meth:`_should_tune`).
+        full_refit_every:
+            Every this many refits both models are refitted from scratch
+            and uncapped — the incremental path's correctness backstop.
+            ``1`` makes every refit cold, the original from-scratch
+            semantics.
+        warm_after:
+            Keep label-model refits cold until this many LFs exist while
+            the LF set is one-sided or the newest LF opened its class
+            (:meth:`_cold_refit_due`).
+        warm_min_train:
+            Keep the exact from-scratch semantics whenever the training
+            split is smaller than this — refit cost scales with
+            ``n_train``, so small sessions gain nothing from warm paths.
+
+        Each setting must be an ``int`` (``bool`` is rejected), so a
+        fractional cadence cannot silently act as a different one.
+        """
+        for name, value, floor in (
+            ("tune_every", tune_every, 1),
+            ("full_refit_every", full_refit_every, 1),
+            ("warm_after", warm_after, 0),
+            ("warm_min_train", warm_min_train, 0),
+        ):
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an int, got {value!r}")
+            if value < floor:
+                raise ValueError(f"{name} must be >= {floor}, got {value}")
         if not isinstance(self.convention, VoteConvention):
             raise TypeError(
                 "session must assign a VoteConvention to self.convention "
@@ -188,11 +202,8 @@ class IncrementalSessionEngine:
         self.contextualizer = contextualizer
         self.percentile_tuner = percentile_tuner
         self.tune_every = tune_every
-        self.warm_start = warm_start
         self.full_refit_every = full_refit_every
         self.warm_after = warm_after
-        self.warm_label_iter = warm_label_iter
-        self.warm_end_iter = warm_end_iter
         self.warm_min_train = warm_min_train
         self._end_model_accepts_max_iter = (
             "max_iter" in inspect.signature(end_model.fit).parameters
@@ -226,13 +237,6 @@ class IncrementalSessionEngine:
         self._refit_count = 0
         self._cold_warranted_ = True
         self._end_uncapped_ = True
-        # Drift-adaptive backstop state (``full_refit_every="auto"``): the
-        # last cold fit's parameter snapshot and the consecutive-skip
-        # counter.  Both are checkpointed, and the skip decision is a pure
-        # function of them plus the (checkpointed) label model — the
-        # cadence is deterministic across checkpoint/restore.
-        self._label_anchor_: dict | None = None
-        self._backstops_skipped_ = 0
         self._selector_cache: dict = {}
         # Whether a warm refit deferred its proxy refresh to the first
         # selector read (see _resolve_proxy).
@@ -525,16 +529,17 @@ class IncrementalSessionEngine:
     def _cold_refit_due(self) -> bool:
         """Whether this refit must be a from-scratch fit.
 
-        Cold refits happen (a) always, when warm-starting is off; (b) on
-        the ``full_refit_every`` cadence — the correctness backstop; (c)
-        while fewer than ``warm_after`` LFs exist *and* every LF votes the
-        same class; and (d) whenever the training split is smaller than
-        ``warm_min_train``.  The low-LF regime is where the label model's
-        likelihood is most multimodal — but the failure mode the guard
-        exists for is specific: a *one-sided* LF coalition can collapse
-        the posterior onto one class (the label-swap mode discussed in
-        :mod:`repro.labelmodel.metal`), and a warm continuation seeded
-        from that posterior would stay stuck there.  Once the developed
+        Cold refits happen (a) on the ``full_refit_every`` cadence — the
+        correctness backstop, every refit when it is ``1``; (b) while
+        fewer than ``warm_after`` LFs exist *and* the LF set is one-sided
+        or the newest LF opened its class; and (c) whenever the training
+        split is smaller than ``warm_min_train``.  The low-LF regime is
+        where the label model's likelihood is most multimodal — but the
+        failure mode the guard exists for is specific: a *one-sided* LF
+        coalition can collapse the posterior onto one class (the
+        label-swap mode discussed in :mod:`repro.labelmodel.metal`), and a
+        warm continuation seeded from that posterior would stay stuck
+        there.  Once the developed
         LFs span at least two classes the swap mode is penalized by the
         fire-propensity evidence and the majority-vote-seeded balance
         estimate, so warm continuation is safe — and at large ``n_train``
@@ -582,79 +587,15 @@ class IncrementalSessionEngine:
         newest = lfs[-1]
         return all(int(lf.label) != int(newest.label) for lf in lfs[:-1])
 
-    def _refit_base(self) -> int:
-        """The integer backstop cadence (``AUTO_REFIT_BASE`` under "auto")."""
-        if self.full_refit_every == "auto":
-            return AUTO_REFIT_BASE
-        return self.full_refit_every
-
-    def _auto_cadence(self) -> bool:
-        """Whether the drift-adaptive backstop cadence is configured."""
-        return self.full_refit_every == "auto"
-
     def _backstop_due(self) -> bool:
         """The exact-semantics opt-outs plus the periodic backstop cadence.
 
         Shared by both uncapped-fit conditions so the end-model cap can
         never silently desynchronize from the label-model backstop.
-
-        Under ``full_refit_every="auto"`` a periodic hit is additionally
-        *skipped* when the warm trajectory's measured parameter drift from
-        the last cold anchor is below ``AUTO_DRIFT_TOL`` (and fewer than
-        ``AUTO_MAX_SKIPS`` consecutive skips have accrued) — a pure
-        function of checkpointed state (:meth:`_drift_skip_allowed`), so
-        the cadence is deterministic across checkpoint/restore and sweep
-        resume.  The fixed-integer cadence is the default defeat switch.
         """
-        if not self.warm_start or self._refit_base() == 1:
+        if not self._warm_cadence_active():
             return True
-        if self.dataset.train.n < self.warm_min_train:
-            return True
-        due = self._refit_count % self._refit_base() == 0
-        if due and self._auto_cadence() and self._drift_skip_allowed():
-            return False
-        return due
-
-    def _label_drift(self) -> float | None:
-        """Max-abs parameter drift of the label model vs the cold anchor.
-
-        Compares every float-typed fitted attribute shared by the current
-        label model and the last cold anchor, aligned on the shared axis-0
-        (per-LF) prefix — the columns appended since the anchor have no
-        reference point and are excluded.  ``None`` when no comparison is
-        possible (no anchor yet, no fitted model, or a different model
-        class), which the caller treats as "cannot justify a skip".
-        """
-        anchor = self._label_anchor_
-        model = self.label_model_
-        if anchor is None or model is None or not hasattr(model, "state_dict"):
-            return None
-        current = model.state_dict()
-        if current.get("class") != anchor.get("class"):
-            return None
-        current_attrs = current.get("attrs", {})
-        drift = None
-        for name, anchor_value in anchor.get("attrs", {}).items():
-            value = current_attrs.get(name)
-            if value is None or anchor_value is None:
-                continue
-            a = np.atleast_1d(np.asarray(anchor_value))
-            c = np.atleast_1d(np.asarray(value))
-            if a.dtype.kind != "f" or c.dtype.kind != "f":
-                continue
-            shared = min(a.shape[0], c.shape[0])
-            if shared == 0 or a[:shared].shape != c[:shared].shape:
-                continue
-            gap = float(np.max(np.abs(a[:shared] - c[:shared])))
-            drift = gap if drift is None else max(drift, gap)
-        return drift
-
-    def _drift_skip_allowed(self) -> bool:
-        """Whether an "auto" backstop candidate may be skipped this refit."""
-        if self._backstops_skipped_ >= AUTO_MAX_SKIPS:
-            return False
-        drift = self._label_drift()
-        return drift is not None and drift < AUTO_DRIFT_TOL
+        return self._refit_count % self.full_refit_every == 0
 
     def _end_refit_uncapped_due(self) -> bool:
         """Whether this refit's *end-model* fit must be uncapped.
@@ -696,7 +637,7 @@ class IncrementalSessionEngine:
         if self._cold_warranted_ or previous is None or type(previous) is not type(model):
             model.fit(L, **kwargs)
         else:
-            model.fit_warm(L, previous, max_iter=self.warm_label_iter, **kwargs)
+            model.fit_warm(L, previous, max_iter=WARM_LABEL_ITER, **kwargs)
         return model
 
     def _predict_label_model(self, model, L: np.ndarray, stats=None) -> np.ndarray:
@@ -706,14 +647,6 @@ class IncrementalSessionEngine:
 
     def _refit(self) -> None:
         t0 = time.perf_counter()
-        # Whether this refit lands on the periodic backstop cadence before
-        # the "auto" skip logic — a skipped candidate advances the
-        # consecutive-skip counter below.
-        backstop_hit = (
-            self._auto_cadence()
-            and self._warm_cadence_active()
-            and self._refit_count % self._refit_base() == 0
-        )
         self._cold_warranted_ = self._cold_refit_due()
         self._end_uncapped_ = self._end_refit_uncapped_due()
         self._refit_count += 1
@@ -727,16 +660,6 @@ class IncrementalSessionEngine:
         model = self._fit_label_model(L_effective, self.label_model_, stats)
         label_fit_seconds = time.perf_counter() - t0
         self.label_model_ = model
-        if self._auto_cadence():
-            if self._cold_warranted_:
-                # A cold fit is the drift reference: re-anchor and reset
-                # the skip budget.
-                self._label_anchor_ = (
-                    model.state_dict() if hasattr(model, "state_dict") else None
-                )
-                self._backstops_skipped_ = 0
-            elif backstop_hit:
-                self._backstops_skipped_ += 1
         self.soft_labels = self._predict_label_model(model, L_effective, stats)
         self.entropies = self._entropy(self.soft_labels)
         self._refit_selection_view(refined)
@@ -775,19 +698,15 @@ class IncrementalSessionEngine:
     # end-model refits (ENGINE.md §7)
     # ------------------------------------------------------------------ #
     def _warm_cadence_active(self) -> bool:
-        """Whether warm end fits actually happen between backstops.
+        """Whether warm refits actually happen between backstops.
 
         The complement of the always-backstop opt-outs in
-        :meth:`_backstop_due`; the backstop anchor is only maintained
-        under this cadence, so the exact-semantics configurations
-        (``warm_start=False`` / ``full_refit_every=1`` / small train
-        split) keep their historical fit sequence untouched.
+        :meth:`_backstop_due`; the end-model backstop anchor is only
+        maintained under this cadence, so the exact-semantics
+        configurations (``full_refit_every=1`` / small train split) keep
+        their historical fit sequence untouched.
         """
-        return (
-            self.warm_start
-            and self._refit_base() > 1
-            and self.dataset.train.n >= self.warm_min_train
-        )
+        return self.full_refit_every > 1 and self.dataset.train.n >= self.warm_min_train
 
     def _end_minibatch_rng(self) -> np.random.Generator:
         """The minibatch shuffle seed stream (lazily spawned once).
@@ -851,9 +770,9 @@ class IncrementalSessionEngine:
         the end model's ``fit_minibatch``; refined (contextualized)
         coverage is not monotone, so those sessions keep the exact slice
         as input even for minibatch fits.  A warm refit falls back to the
-        capped L-BFGS fit (``warm_end_iter``) when the end model has no
-        ``fit_minibatch`` or the covered set is below the gate described
-        next.
+        L-BFGS fit capped at :data:`WARM_END_ITER` when the end model has
+        no ``fit_minibatch`` or the covered set is below the gate
+        described next.
 
         Like warm starts themselves, stochastic refits are a *scale*
         feature: on a small covered set a "minibatch" is just full-batch
@@ -894,7 +813,7 @@ class IncrementalSessionEngine:
                 self._end_anchor_ = self.end_model.state_dict()
             self._last_end_fit_mode = "uncapped"
         else:
-            self.end_model.fit(X_covered, targets, max_iter=self.warm_end_iter)
+            self.end_model.fit(X_covered, targets, max_iter=WARM_END_ITER)
             self._last_end_fit_mode = "warm_capped"
 
     def _effective_label_matrix(self) -> np.ndarray:
@@ -1069,14 +988,11 @@ class IncrementalSessionEngine:
             "refit_count": int(self._refit_count),
             "cold_warranted": bool(self._cold_warranted_),
             "end_uncapped": bool(self._end_uncapped_),
-            "label_anchor": self._label_anchor_,
-            "backstops_skipped": int(self._backstops_skipped_),
             "end_model_fitted": bool(self._end_model_fitted),
             "selected": sorted(int(i) for i in self.selected),
             "active_percentile": (
                 None if self.active_percentile_ is None else float(self.active_percentile_)
             ),
-            "phase_timings": {k: float(v) for k, v in self.phase_timings.items()},
             "rng_state": self._capture_rng_state(self.rng),
             "user_rng_state": self._capture_rng_state(getattr(self.user, "rng", None)),
             "lineage": [
@@ -1119,7 +1035,9 @@ class IncrementalSessionEngine:
         match, otherwise the restore raises instead of continuing a
         session that would silently diverge.  After a successful restore,
         :meth:`step` continues exactly as the snapshotted session would
-        have (see the checkpoint round-trip tests).
+        have (see the checkpoint round-trip tests).  Fields written by
+        earlier builds and no longer read (``label_anchor``,
+        ``backstops_skipped``, ``phase_timings``) are ignored.
         """
         if not isinstance(state, dict) or state.get("kind") != "session-engine":
             raise ValueError("not a session-engine state dict")
@@ -1178,10 +1096,6 @@ class IncrementalSessionEngine:
         self.selected = {int(i) for i in state["selected"]}
         ap = state.get("active_percentile")
         self.active_percentile_ = None if ap is None else float(ap)
-        timings = {p: 0.0 for p in PHASES}
-        timings["contextualize"] = 0.0
-        timings.update({k: float(v) for k, v in state.get("phase_timings", {}).items()})
-        self.phase_timings = timings
 
         rng_state = state.get("rng_state")
         if rng_state is not None:
@@ -1214,9 +1128,6 @@ class IncrementalSessionEngine:
         self.end_model.load_state_dict(state["end_model"])
         anchor = state.get("end_anchor")
         self._end_anchor_ = anchor if anchor else None
-        label_anchor = state.get("label_anchor")
-        self._label_anchor_ = label_anchor if label_anchor else None
-        self._backstops_skipped_ = int(state.get("backstops_skipped", 0))
         covered_rows = state.get("covered_rows")
         if covered_rows is None:
             self._covered_buf = None

@@ -127,34 +127,10 @@ class DataProgrammingSession(IncrementalSessionEngine, InteractiveMethod):
         predictions to SEU; the calibrated variant is provided for study
         (see :mod:`repro.endmodel.calibration`).  Calibration refreshes
         the proxy eagerly on every refit.
-    warm_start:
-        Warm-start the label model from the previous refit's posterior
-        (see :mod:`repro.core.engine`).  ``False`` forces every refit to
-        be a from-scratch fit — the original (seed) behaviour.
-    full_refit_every:
-        Force a cold label-model refit every this many refits, the
-        incremental path's correctness backstop.  ``1`` means every refit
-        is cold (equivalent to ``warm_start=False``).  ``"auto"`` keeps
-        the default integer base but skips a due backstop when the warm
-        model has drifted less than ``AUTO_DRIFT_TOL`` from the last cold
-        anchor (at most ``AUTO_MAX_SKIPS`` consecutive skips; see
-        ENGINE.md §10).
-    warm_after:
-        Keep refits cold until this many LFs exist — the low-LF regime is
-        both the cheapest to refit from scratch and the most multimodal
-        to warm-start through (see :mod:`repro.core.engine`).
-    warm_label_iter / warm_end_iter:
-        Inner-iteration caps for warm label-model (EM) and end-model
-        (L-BFGS) refits; full refits are never capped.  Warm end-model
-        refits normally run the end model's ``fit_minibatch`` Adam
-        continuation; ``warm_end_iter`` caps the L-BFGS fit used instead
-        when the end model has no ``fit_minibatch`` or few rows are
-        covered (ENGINE.md §7).  Warm refits also defer the proxy
-        refresh to the first selector read (ENGINE.md §4).
-    warm_min_train:
-        Keep the exact from-scratch semantics whenever the training split
-        is smaller than this — refit cost scales with ``n_train``, so
-        small sessions gain nothing from incrementality.
+    full_refit_every / warm_after / warm_min_train:
+        The refit schedule — when refits are cold or warm-started; see
+        :meth:`~repro.core.engine.IncrementalSessionEngine._init_engine`
+        and ENGINE.md §2.
     seed:
         Seed for all session randomness.
     """
@@ -178,11 +154,8 @@ class DataProgrammingSession(IncrementalSessionEngine, InteractiveMethod):
         percentile_tuner: PercentileTuner | None = None,
         tune_every: int = 5,
         calibrate_proxy: bool = False,
-        warm_start: bool = True,
-        full_refit_every: int | str = 10,
+        full_refit_every: int = 10,
         warm_after: int = 8,
-        warm_label_iter: int = 3,
-        warm_end_iter: int = 15,
         warm_min_train: int = 2000,
         seed=None,
     ) -> None:
@@ -209,11 +182,8 @@ class DataProgrammingSession(IncrementalSessionEngine, InteractiveMethod):
             contextualizer=contextualizer,
             percentile_tuner=percentile_tuner,
             tune_every=tune_every,
-            warm_start=warm_start,
             full_refit_every=full_refit_every,
             warm_after=warm_after,
-            warm_label_iter=warm_label_iter,
-            warm_end_iter=warm_end_iter,
             warm_min_train=warm_min_train,
         )
 

@@ -58,11 +58,9 @@ def session_obs(method) -> dict | None:
     """The engine's observability counters as a plain-JSON dict, or ``None``.
 
     Baselines without the engine's instrumentation (no ``phase_timings``)
-    yield ``None`` so their records carry no empty section.  Of the
-    fields, only ``phase_seconds`` round-trips through checkpoints
-    (``phase_timings`` lives in ``state_dict``); the refit/end-fit
-    counters and the open-interval wall are transient, so on a resumed
-    job they cover the post-resume stretch only.
+    yield ``None`` so their records carry no empty section.  Every field
+    is transient — checkpoints carry no clock readings or counters — so
+    on a resumed job they all cover the post-resume stretch only.
     """
     timings = getattr(method, "phase_timings", None)
     if not isinstance(timings, dict):

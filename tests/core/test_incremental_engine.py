@@ -1,8 +1,8 @@
 """Regression tests: incremental engine vs the from-scratch path (binary).
 
-``warm_start=False, full_refit_every=1`` reproduces the original
-from-scratch session semantics exactly; these tests drive that baseline
-and the incremental default side by side over a 25-iteration session with
+``full_refit_every=1`` reproduces the original from-scratch session
+semantics exactly; these tests drive that baseline and the incremental
+default side by side over a 25-iteration session with
 *identical LF trajectories* (random selection does not read model state,
 so both sessions develop the same LFs) and pin:
 
@@ -40,7 +40,6 @@ def paired_run(tiny_dataset):
             ds,
             RandomSelector(),
             SimulatedUser(ds, seed=123),
-            warm_start=warm,
             full_refit_every=FULL_REFIT_EVERY if warm else 1,
             warm_min_train=0,  # exercise the warm path despite the small dataset
             seed=42,
@@ -112,7 +111,9 @@ class TestIncrementalMatchesScratch:
 
 class TestEngineConfiguration:
     def test_full_refit_every_one_equals_scratch_exactly(self, tiny_dataset):
-        """``full_refit_every=1`` must force every refit cold even when warm."""
+        """``full_refit_every=1`` forces every refit cold and uncapped even
+        where the warm path is open (``warm_min_train=0``), so it matches
+        the small-split session that never leaves the exact path."""
         ds = tiny_dataset
 
         def make(**kwargs) -> DataProgrammingSession:
@@ -120,10 +121,13 @@ class TestEngineConfiguration:
                 ds, RandomSelector(), SimulatedUser(ds, seed=7), seed=3, **kwargs
             )
 
-        a = make(warm_start=False, full_refit_every=1).run(12)
-        b = make(warm_start=True, full_refit_every=1).run(12)
-        np.testing.assert_allclose(a.soft_labels, b.soft_labels, atol=1e-12)
-        np.testing.assert_allclose(a.entropies, b.entropies, atol=1e-12)
+        a = make(full_refit_every=1, warm_min_train=0).run(12)
+        assert a.refit_counts["warm"] == 0
+        assert a.refit_counts["cold"] > 0
+        assert set(a.end_fit_counts) == {"uncapped"}
+        b = make().run(12)  # below the default warm_min_train: all exact
+        np.testing.assert_array_equal(a.soft_labels, b.soft_labels)
+        np.testing.assert_array_equal(a.entropies, b.entropies)
         assert a.test_score() == b.test_score()
 
     def test_rejects_bad_full_refit_every(self, tiny_dataset):
@@ -134,6 +138,20 @@ class TestEngineConfiguration:
                 SimulatedUser(tiny_dataset, seed=0),
                 full_refit_every=0,
             )
+
+    @pytest.mark.parametrize(
+        "name", ["tune_every", "full_refit_every", "warm_after", "warm_min_train"]
+    )
+    def test_rejects_non_integer_schedule_values(self, tiny_dataset, name):
+        # 2.5 would act as a cadence of 5 under ``%``; True as 1.
+        for value in (2.5, True):
+            with pytest.raises(ValueError, match=name):
+                DataProgrammingSession(
+                    tiny_dataset,
+                    RandomSelector(),
+                    SimulatedUser(tiny_dataset, seed=0),
+                    **{name: value},
+                )
 
     def test_l_train_setter_round_trips(self, tiny_dataset):
         session = DataProgrammingSession(

@@ -5,7 +5,10 @@ passes, the warm end-model refit follows the end model's capabilities
 and the covered-row gate, and the proxy refresh follows the refit path.
 None of them is a constructor setting, so a knob that forces a second
 code path must not come back.  Each retired knob is pinned here: passing
-it fails at the call, and its module-level constants stay gone.
+it fails at the call, and its module-level constants stay gone.  The same
+holds for the retired refit-schedule knobs: ``warm_start`` (a second
+spelling of ``full_refit_every=1``), the warm iteration caps (now engine
+constants) and the drift-adaptive ``full_refit_every="auto"`` cadence.
 """
 
 import importlib
@@ -16,10 +19,15 @@ from repro.core.config import NemoConfig
 from repro.core.session import DataProgrammingSession
 from repro.endmodel.logistic import SoftLabelLogisticRegression
 from repro.endmodel.softmax import SoftLabelSoftmaxRegression
+from repro.interactive.basic_selectors import RandomSelector
+from repro.interactive.simulated_user import SimulatedUser
 from repro.labelmodel.dawid_skene import DawidSkene
 from repro.labelmodel.metal import MetalLabelModel
+from repro.multiclass import make_topics_dataset
 from repro.multiclass.dawid_skene import MCDawidSkeneModel
+from repro.multiclass.selection import MCRandomSelector
 from repro.multiclass.session import MultiClassSession
+from repro.multiclass.simulated_user import MCSimulatedUser
 
 
 @pytest.mark.parametrize(
@@ -36,7 +44,16 @@ def test_label_models_take_no_cold_path(make):
         make()
 
 
-@pytest.mark.parametrize("knob,value", [("warm_end_mode", "lbfgs"), ("lazy_proxy", False)])
+@pytest.mark.parametrize(
+    "knob,value",
+    [
+        ("warm_end_mode", "lbfgs"),
+        ("lazy_proxy", False),
+        ("warm_start", False),  # a second spelling of full_refit_every=1
+        ("warm_label_iter", 3),  # now the constant WARM_LABEL_ITER
+        ("warm_end_iter", 15),  # now the constant WARM_END_ITER
+    ],
+)
 @pytest.mark.parametrize(
     "session_cls", [DataProgrammingSession, MultiClassSession], ids=["binary", "multiclass"]
 )
@@ -45,6 +62,25 @@ def test_sessions_take_no_routing_knobs(session_cls, knob, value):
     # positional arguments never need to be real.
     with pytest.raises(TypeError, match=knob):
         session_cls(None, None, None, **{knob: value})
+
+
+def test_sessions_take_no_auto_cadence(tiny_dataset):
+    # The drift-adaptive backstop is gone: the cadence is a fixed integer.
+    with pytest.raises(ValueError, match="full_refit_every"):
+        DataProgrammingSession(
+            tiny_dataset,
+            RandomSelector(),
+            SimulatedUser(tiny_dataset, seed=0),
+            full_refit_every="auto",
+        )
+    topics = make_topics_dataset(n_docs=200, seed=0, vocab_scale=6)
+    with pytest.raises(ValueError, match="full_refit_every"):
+        MultiClassSession(
+            topics,
+            MCRandomSelector(),
+            MCSimulatedUser(topics, seed=0),
+            full_refit_every="auto",
+        )
 
 
 def test_config_takes_no_warm_end_mode():
@@ -70,6 +106,9 @@ def test_end_models_predict_full_matrices_only(end_model_cls):
         ("repro.labelmodel.matrix", "COLD_PATHS"),
         ("repro.labelmodel.matrix", "resolve_cold_path"),
         ("repro.core.engine", "WARM_END_MODES"),
+        ("repro.core.engine", "AUTO_REFIT_BASE"),
+        ("repro.core.engine", "AUTO_DRIFT_TOL"),
+        ("repro.core.engine", "AUTO_MAX_SKIPS"),
     ],
 )
 def test_routing_constants_are_gone(module, name):

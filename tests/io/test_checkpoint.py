@@ -259,6 +259,44 @@ class TestWarmMinibatchRoundTrip:
         assert ref.test_score() == restored.test_score()
 
 
+class TestEarlierBuildCheckpoints:
+    """Snapshots written before the refit schedule lost its drift-adaptive
+    cadence still restore: they carry ``label_anchor``,
+    ``backstops_skipped`` and the wall-clock ``phase_timings``, which this
+    build ignores, under the same ``CHECKPOINT_FORMAT_VERSION``."""
+
+    def test_retired_fields_are_ignored_on_restore(self, binary_dataset, tmp_path):
+        ref = _binary_session(binary_dataset, "metal")
+        ref.run(TOTAL_ITERATIONS)
+
+        first = _binary_session(binary_dataset, "metal")
+        first.run(SNAPSHOT_AT)
+        path = save_session_checkpoint(first, tmp_path / "current.ckpt.npz")
+        state = load_checkpoint(path)
+        session_state = state["session"]
+        for retired in ("label_anchor", "backstops_skipped", "phase_timings"):
+            assert retired not in session_state
+        session_state["label_anchor"] = session_state["label_model"]
+        session_state["backstops_skipped"] = 2
+        session_state["phase_timings"] = {
+            "select": 0.25, "develop": 0.01, "label_model": 1.5,
+            "end_model": 0.75, "contextualize": 0.0,
+        }
+        legacy = save_checkpoint(tmp_path / "legacy.ckpt.npz", state)
+
+        restored = _binary_session(binary_dataset, "metal")
+        load_session_checkpoint(restored, legacy)
+        assert restored.phase_timings["label_model"] == 0.0  # clocks not restored
+        restored.run(TOTAL_ITERATIONS - SNAPSHOT_AT)
+
+        assert restored.soft_labels.tobytes() == ref.soft_labels.tobytes()
+        assert [(lf.primitive, lf.label) for lf in restored.lfs] == [
+            (lf.primitive, lf.label) for lf in ref.lfs
+        ]
+        assert restored.test_score() == ref.test_score()
+        assert "label_anchor" not in restored.state_dict()
+
+
 class TestFailClosedLoading:
     def test_missing_file(self, tmp_path):
         with pytest.raises(CheckpointError, match="does not exist"):

@@ -28,7 +28,6 @@ def paired_mc_run(topics_dataset):
             ds,
             MCRandomSelector(),
             MCSimulatedUser(ds, seed=123),
-            warm_start=warm,
             full_refit_every=FULL_REFIT_EVERY if warm else 1,
             warm_min_train=0,  # exercise the warm path despite the small dataset
             seed=42,
@@ -102,6 +101,9 @@ class TestIncrementalMatchesScratch:
 
 class TestEngineConfiguration:
     def test_full_refit_every_one_equals_scratch_exactly(self, topics_dataset):
+        """``full_refit_every=1`` forces every refit cold and uncapped even
+        where the warm path is open (``warm_min_train=0``), so it matches
+        the small-split session that never leaves the exact path."""
         ds = topics_dataset
 
         def make(**kwargs) -> MultiClassSession:
@@ -109,10 +111,13 @@ class TestEngineConfiguration:
                 ds, MCRandomSelector(), MCSimulatedUser(ds, seed=7), seed=3, **kwargs
             )
 
-        a = make(warm_start=False, full_refit_every=1).run(12)
-        b = make(warm_start=True, full_refit_every=1).run(12)
-        np.testing.assert_allclose(a.soft_labels, b.soft_labels, atol=1e-12)
-        np.testing.assert_allclose(a.entropies, b.entropies, atol=1e-12)
+        a = make(full_refit_every=1, warm_min_train=0).run(12)
+        assert a.refit_counts["warm"] == 0
+        assert a.refit_counts["cold"] > 0
+        assert set(a.end_fit_counts) == {"uncapped"}
+        b = make().run(12)  # below the default warm_min_train: all exact
+        np.testing.assert_array_equal(a.soft_labels, b.soft_labels)
+        np.testing.assert_array_equal(a.entropies, b.entropies)
         assert a.test_score() == b.test_score()
 
     def test_rejects_bad_full_refit_every(self, topics_dataset):
@@ -123,6 +128,20 @@ class TestEngineConfiguration:
                 MCSimulatedUser(topics_dataset, seed=0),
                 full_refit_every=0,
             )
+
+    @pytest.mark.parametrize(
+        "name", ["tune_every", "full_refit_every", "warm_after", "warm_min_train"]
+    )
+    def test_rejects_non_integer_schedule_values(self, topics_dataset, name):
+        # 2.5 would act as a cadence of 5 under ``%``; True as 1.
+        for value in (2.5, True):
+            with pytest.raises(ValueError, match=name):
+                MultiClassSession(
+                    topics_dataset,
+                    MCRandomSelector(),
+                    MCSimulatedUser(topics_dataset, seed=0),
+                    **{name: value},
+                )
 
     def test_seu_selector_cache_used_and_cleared(self, topics_dataset):
         from repro.multiclass.seu import MCSEUSelector

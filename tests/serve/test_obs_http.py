@@ -80,11 +80,20 @@ class TestErrorPathAccounting:
         total = sum(hist.count(*labels) for labels in hist.label_sets())
         assert total == 4
 
-    def test_disconnect_is_accounted_not_lost(self, service):
+    def test_disconnect_is_accounted_not_lost(self, service, monkeypatch):
         manager, client = service
         host, port = client._host, client._port
-        # A slow command (cold create) guarantees the RST lands while the
-        # handler is still working, so the response write is what fails.
+        # A slow command guarantees the RST lands while the handler is
+        # still working, so the response write is what fails.  A cold
+        # create of the tiny dataset alone takes about as long as the
+        # 50 ms grace below, so it is held back on purpose.
+        create = manager.create
+
+        def slow_create(**kwargs):
+            time.sleep(0.5)
+            return create(**kwargs)
+
+        monkeypatch.setattr(manager, "create", slow_create)
         body = (
             b'{"name": "gone", "method": "snorkel", "dataset": "amazon", '
             b'"scale": "tiny", "seed": 5}'

@@ -12,8 +12,10 @@ Exercises the full serve-path durability story end-to-end over real HTTP:
    client rule, and finish the curve;
 4. assert the killed-and-restored curve (including the re-recorded
    points) is bit-identical to an uninterrupted reference run of the
-   same client against a fresh server, and that rotation kept only
-   ``--keep-last`` snapshots;
+   same client against a fresh server, that the newest snapshot of both
+   roots has the same name and the same bytes (checkpoints carry no
+   clock readings), and that rotation kept only ``--keep-last``
+   snapshots;
 5. scrape ``/metrics`` twice during the reference run and schema-check
    the exposition (non-empty, expected metric families present, counters
    monotonic across scrapes, ``/statusz`` command counts populated).
@@ -332,9 +334,23 @@ def main() -> int:
         check(curve == ref_curve, f"curves differ: {curve} != {ref_curve}")
         check(kill_lfs == ref_lfs, f"LF sequences differ: {kill_lfs} != {ref_lfs}")
         check(kill_score == ref_score, "final scores differ")
+
+        # ---- ... down to the bytes of the newest snapshot ------------- #
+        ref_newest = sorted((ref_root / SESSION).glob("step-*.ckpt.npz"))[-1]
+        kill_newest = sorted((root / SESSION).glob("step-*.ckpt.npz"))[-1]
+        check(
+            kill_newest.name == ref_newest.name,
+            f"newest snapshots differ in name: {kill_newest.name} != {ref_newest.name}",
+        )
+        check(
+            kill_newest.read_bytes() == ref_newest.read_bytes(),
+            f"newest snapshot {ref_newest.name} differs in bytes between the "
+            "uninterrupted and the killed-and-restored run",
+        )
     print(
-        "[serve-smoke] OK: kill/restart resumed from the rotated snapshot and "
-        "the completed curve is bit-identical to the uninterrupted run"
+        "[serve-smoke] OK: kill/restart resumed from the rotated snapshot; the "
+        "completed curve and the newest snapshot's bytes are identical to the "
+        "uninterrupted run"
     )
     return 0
 
