@@ -3,9 +3,9 @@
 1. **Label-model agnosticism** (paper Sec. 4.3 claims the contextualized
    pipeline works with any label model): run the contextualized pipeline
    with each of the four aggregators.
-2. **SEU engineering ablations** (Sec. 7 of DESIGN.md): the cold-start
-   warm-up and the Platt-calibrated proxy are reproduction decisions the
-   paper leaves unspecified — quantify them.
+2. **SEU engineering ablation** (Sec. 7 of DESIGN.md): the cold-start
+   warm-up is a reproduction decision the paper leaves unspecified —
+   quantify it.
 """
 
 import numpy as np

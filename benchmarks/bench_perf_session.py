@@ -17,9 +17,9 @@ multiclass one (4-topic recipe, MC-SEU + MC simulated user) are swept —
 they share one engine, so both tasks ride the same incremental machinery.
 Each timing additionally reports the engine's per-phase attribution
 (select / develop / label_model / end_model, plus the contextualize slice
-of the label-model phase), read from
-``IncrementalSessionEngine.phase_timings``, so future optimizations can be
-attributed to the phase they touch.
+of the label-model phase), read from the totals of an
+``repro.obs.EngineObserver`` attached to the session, so future
+optimizations can be attributed to the phase they touch.
 
 Usage::
 
@@ -61,6 +61,7 @@ from repro.core.session import DataProgrammingSession  # noqa: E402
 from repro.core.seu import SEUSelector  # noqa: E402
 from repro.data import load_dataset  # noqa: E402
 from repro.interactive.simulated_user import SimulatedUser  # noqa: E402
+from repro.obs import COMPUTE_PHASES, ENGINE_PHASES, EngineObserver  # noqa: E402
 
 #: The acceptance target this benchmark tracks: step throughput of the
 #: incremental engine at n_train=10k (binary task) must be ≥ this multiple
@@ -80,7 +81,7 @@ LARGE_N_SPEEDUP = 2.5
 XL_N_TRAIN = 500_000
 XL_N_SPEEDUP = 8.0
 
-#: Per-mode timing fields attributing the label-model phase: EM/SGD
+#: Per-mode timing fields attributing the label-model phase: EM
 #: iteration totals, fit wall seconds, and refit counts, each split by
 #: warm/cold path (mirrors the engine's transient obs counters).
 LABEL_MODEL_KEYS = ("em_iterations", "fit_seconds", "refits")
@@ -92,9 +93,6 @@ LABEL_MODEL_KEYS = ("em_iterations", "fit_seconds", "refits")
 GROW_BASE_DOCS = 62_500
 
 TRAIN_FRACTION = 0.8  # the 80/10/10 split of featurize_corpus
-
-#: Phase keys every timing entry must report (engine attribution).
-PHASE_KEYS = ("select", "develop", "label_model", "end_model", "contextualize")
 
 
 def peak_rss_mb() -> float:
@@ -125,7 +123,7 @@ def check_record(record: dict) -> list[str]:
     for entry in results:
         for mode in ("scratch", "incremental"):
             phases = entry.get(mode, {}).get("phase_seconds", {})
-            missing = [k for k in PHASE_KEYS if k not in phases]
+            missing = [k for k in ENGINE_PHASES if k not in phases]
             if missing:
                 problems.append(
                     f"{entry.get('task')}/n={entry.get('n_train')}/{mode} "
@@ -247,9 +245,11 @@ def time_session(
     best = None
     for _ in range(max(repeats, 1)):
         session = make_session(ds, task, mode, seed)
+        observer = session.observer = EngineObserver()
         start = time.perf_counter()
         session.run(n_iterations)
         elapsed = time.perf_counter() - start
+        totals = observer.totals()
         timing = {
             "mode": mode,
             "seconds": round(elapsed, 4),
@@ -257,21 +257,14 @@ def time_session(
             "n_lfs": len(session.lfs),
             "test_score": round(session.test_score(), 4),
             "phase_seconds": {
-                phase: round(seconds, 4)
-                for phase, seconds in sorted(session.phase_timings.items())
+                phase: round(seconds, 4) for phase, seconds in totals["phase_seconds"].items()
             },
             "label_model": {
-                "em_iterations": {
-                    path: int(v)
-                    for path, v in sorted(session.em_iteration_counts.items())
-                },
+                "em_iterations": totals["em_iterations"],
                 "fit_seconds": {
-                    path: round(float(v), 4)
-                    for path, v in sorted(session.label_fit_seconds.items())
+                    path: round(v, 4) for path, v in totals["label_fit_seconds"].items()
                 },
-                "refits": {
-                    path: int(v) for path, v in sorted(session.refit_counts.items())
-                },
+                "refits": totals["refits"],
             },
         }
         if best is None or timing["seconds"] < best["seconds"]:
@@ -299,7 +292,7 @@ def sweep(task: str, sizes, args) -> list[dict]:
             timing = time_session(ds, task, mode, args.iterations, args.seed, args.repeats)
             entry[mode] = timing
             phases = timing["phase_seconds"]
-            dominant = max(phases, key=phases.get)
+            dominant = max(COMPUTE_PHASES, key=phases.get)
             print(
                 f"[bench]   {mode:<12} {timing['seconds']:>8.2f}s "
                 f"= {timing['iters_per_sec']:>7.2f} iters/sec "

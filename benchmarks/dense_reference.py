@@ -116,14 +116,9 @@ def _mc_m_step_dense(
 # reference models
 # --------------------------------------------------------------------- #
 class DenseMetalLabelModel(_metal.MetalLabelModel):
-    """:class:`~repro.labelmodel.metal.MetalLabelModel` with the dense cold EM.
-
-    Implements ``method="em"`` only.
-    """
+    """:class:`~repro.labelmodel.metal.MetalLabelModel` with the dense cold EM."""
 
     def fit(self, L: np.ndarray, stats=None) -> "DenseMetalLabelModel":
-        if self.method != "em":
-            raise ValueError("the dense reference implements method='em' only")
         L = self._validated_or_stats(L, stats)
         if L.shape[0] == 0 or L.shape[1] == 0:
             return super().fit(L, stats=stats)

@@ -479,6 +479,30 @@ def cmd_compare(args: argparse.Namespace) -> int:
     return 0
 
 
+def _phase_breakdown(phase_seconds: dict) -> tuple[float, str]:
+    """``(compute seconds, one-line text)`` for an engine phase-seconds map.
+
+    Only the top-level phases partition compute, so only they add into the
+    total and take a share of it; ``contextualize`` runs inside
+    ``label_model`` and is shown as a share of that phase.
+    """
+    from repro.obs import COMPUTE_PHASES
+
+    def share(part: float, whole: float) -> str:
+        return f"{100.0 * part / (whole or 1.0):.0f}%"
+
+    seconds = {p: phase_seconds.get(p, 0.0) for p in COMPUTE_PHASES}
+    compute = sum(seconds.values())
+    parts = [f"{p}={s:.2f}s ({share(s, compute)})" for p, s in seconds.items()]
+    contextualize = phase_seconds.get("contextualize", 0.0)
+    if contextualize:
+        parts.append(
+            f"contextualize={contextualize:.2f}s "
+            f"({share(contextualize, seconds['label_model'])} of label_model)"
+        )
+    return compute, "  ".join(parts)
+
+
 def cmd_sweep(args: argparse.Namespace) -> int:
     from repro.experiments.reporting import format_table
     from repro.sweep import ResultStore, SweepSpec, run_sweep
@@ -521,13 +545,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         print(f"{len(report.pending)} jobs still pending; rerun to resume")
     obs = ResultStore(args.out).summarize_obs()
     if obs["jobs"]:
-        phase_total = sum(obs["phase_seconds"].values())
-        phases = "  ".join(
-            f"{name}={seconds:.1f}s" for name, seconds in sorted(obs["phase_seconds"].items())
-        )
+        compute, phases = _phase_breakdown(obs["phase_seconds"])
         print(
             f"engine obs ({obs['jobs']} instrumented jobs, "
-            f"{phase_total:.1f}s compute): {phases}"
+            f"{compute:.2f}s compute): {phases}"
         )
         if obs["refits"] or obs["end_fits"]:
             refits = " ".join(f"{k}={v}" for k, v in sorted(obs["refits"].items()))
@@ -747,14 +768,9 @@ def cmd_metrics(args: argparse.Namespace) -> int:
             p99 = "-" if entry["p99_ms"] is None else f"{entry['p99_ms']:.2f}"
             print(f"{command:<10} {entry['count']:>7} {p50:>9} {p99:>9}  {outcomes}")
     engine = status["engine"]
-    if engine["phase_seconds"]:
-        total = sum(engine["phase_seconds"].values()) or 1.0
-        phases = "  ".join(
-            f"{phase}={seconds:.2f}s ({100.0 * seconds / total:.0f}%)"
-            for phase, seconds in sorted(engine["phase_seconds"].items())
-        )
-        print(f"engine phases: {phases}")
-    if engine["refits"]:
+    if engine["commands"]:
+        print(f"engine phases: {_phase_breakdown(engine['phase_seconds'])[1]}")
+    if sum(engine["refits"].values()):
         refits = ", ".join(f"{k}={v}" for k, v in sorted(engine["refits"].items()))
         end_fits = ", ".join(f"{k}={v}" for k, v in sorted(engine["end_fits"].items()))
         print(f"refits: {refits}; end fits: {end_fits}")

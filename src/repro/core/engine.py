@@ -88,9 +88,6 @@ WARM_LABEL_ITER = 3
 #: the gate of ``_fit_end_model``); backstop fits run uncapped.
 WARM_END_ITER = 15
 
-#: The IDP phases attributed by the engine's built-in timing bookkeeping.
-PHASES = ("select", "develop", "label_model", "end_model")
-
 
 class IncrementalSessionEngine:
     """Cardinality-agnostic select → develop → contextualize → learn loop.
@@ -102,26 +99,23 @@ class IncrementalSessionEngine:
     implementations.  Two hooks remain genuinely per-session:
 
     * :meth:`_refresh_proxy` — recompute the ground-truth proxy from the
-      current end model (shape and calibration differ);
+      current end model (its shape differs);
     * :meth:`build_state` — the selector/user-facing state snapshot.
 
     Subclasses are expected to set ``dataset``, ``rng``, ``family``,
     ``soft_labels``, ``entropies`` and their proxy fields before calling
     :meth:`_init_engine`.
 
-    The engine keeps cumulative per-phase wall-clock totals in
-    ``self.phase_timings`` (seconds per :data:`PHASES` entry, plus
-    ``"contextualize"`` for the Eq.-4 refinement inside the label-model
-    phase) — the attribution record ``benchmarks/bench_perf_session.py``
-    reports.  ``"develop"`` times only the commit compute of
-    :meth:`submit`; the wall time a proposal sat open awaiting the user
-    (human think-time) accrues separately on the transient
-    ``open_interval_seconds`` so serve latency attribution is never
-    polluted by it.  Per-command attribution additionally flows to an
-    optional transient ``observer`` (see ``repro.obs`` and ENGINE.md §9).
-    None of that state — ``phase_timings`` included — enters
-    :meth:`state_dict`: clock readings would make two snapshots of the
-    same session differ, so a restore leaves the totals untouched.
+    Each command is timed once, into its own record
+    (``last_command_obs``): the compute seconds of every phase it ran
+    (``"contextualize"`` is the Eq.-4 refinement inside the label-model
+    phase), the refit facts, and the wall time the proposal sat open
+    awaiting the user (human think-time, kept apart from the
+    ``"develop"`` commit compute).  The record goes to an optional
+    transient ``observer`` (:class:`repro.obs.EngineObserver`, ENGINE.md
+    §9), which alone keeps totals; the engine sums nothing.  No record
+    enters :meth:`state_dict`: clock readings would make two snapshots of
+    the same session differ.
     """
 
     #: The session's vote convention; subclasses MUST assign one (class or
@@ -225,8 +219,6 @@ class IncrementalSessionEngine:
         self.iteration = 0
         self.selected: set[int] = set()
         self.abstain_value = self.convention.abstain
-        self.phase_timings: dict[str, float] = {p: 0.0 for p in PHASES}
-        self.phase_timings["contextualize"] = 0.0
         self._L_train = VoteMatrix(self.dataset.train.n, abstain=self.abstain_value)
         self._L_valid = VoteMatrix(self.dataset.valid.n, abstain=self.abstain_value)
         self.selection_soft_labels: np.ndarray | None = None
@@ -247,23 +239,12 @@ class IncrementalSessionEngine:
         self._proposal_token = 0
         # Transient observability (never checkpointed — the obs-no-state-leak
         # lint rule keeps it that way): an optional observer sink with an
-        # ``on_command(info)`` method (repro.obs.EngineObserver), cumulative
-        # open-interval wall (proposal sat open awaiting the user — human
-        # latency, deliberately NOT part of phase_timings since the
-        # develop-split fix), and per-refit attribution scratch.
+        # ``on_command(info)`` method (repro.obs.EngineObserver) and the
+        # latest command record.  ``refit_counts`` is the one running count
+        # the engine keeps, for the in-process harness of perfbench/.
         self.observer = None
-        self.open_interval_seconds = 0.0
-        self.last_open_interval: float | None = None
-        self.last_refit_obs: dict | None = None
         self.last_command_obs: dict | None = None
         self.refit_counts: dict[str, int] = {"warm": 0, "cold": 0}
-        self.end_fit_counts: dict[str, int] = {}
-        # Transient per-path label-model cost attribution (EM iterations
-        # actually run, label-fit wall seconds) — the obs layer's
-        # repro_labelmodel_* counters read these; never checkpointed.
-        self.em_iteration_counts: dict[str, int] = {"warm": 0, "cold": 0}
-        self.label_fit_seconds: dict[str, float] = {"warm": 0.0, "cold": 0.0}
-        self._last_end_fit_mode = "skipped"
         self.active_percentile_: float | None = (
             contextualizer.percentile if contextualizer is not None else None
         )
@@ -361,7 +342,6 @@ class IncrementalSessionEngine:
         state = self.build_state()
         dev_index = self.selector.select(state)
         t1 = time.perf_counter()
-        self.phase_timings["select"] += t1 - t0
         self._proposal_token += 1
         self._pending = PendingInteraction(
             token=self._proposal_token,
@@ -400,23 +380,20 @@ class IncrementalSessionEngine:
         if lf is None:
             raise ProtocolError("submit() requires an LF; use decline() instead")
         # Open-interval wall: how long the proposal sat awaiting the user.
-        # Human think-time, not compute — it goes to the transient span
-        # accumulator, NOT phase_timings["develop"], which since the
-        # develop-split fix times only the commit itself.
+        # Human think-time, not compute — it is reported apart from the
+        # phases, so "develop" times only the commit itself.
         open_wall = time.perf_counter() - pending.ready_at
-        before = dict(self.phase_timings)
         t0 = time.perf_counter()
         self._commit_develop(lf, pending.dev_index, pending.iteration)
         self.selected.add(pending.dev_index)
         self.iteration = pending.iteration + 1
         self._pending = None
-        self.phase_timings["develop"] += time.perf_counter() - t0
-        self._record_open_interval(open_wall)
-        self._refit()
+        develop = time.perf_counter() - t0
+        phases, refit = self._refit()
         self._notify_obs(
             "submit",
-            self._phase_deltas(before),
-            refit=self.last_refit_obs,
+            {"develop": develop, **phases},
+            refit=refit,
             open_interval_seconds=open_wall,
         )
         return pending
@@ -434,11 +411,9 @@ class IncrementalSessionEngine:
         open_wall = None
         if pending.dev_index is not None:
             self.selected.add(pending.dev_index)
-            # No commit compute happens on decline — the old accrual of
-            # the whole open interval into phase_timings["develop"] was
-            # the think-time conflation the develop-split fix removed.
+            # No commit compute happens on decline: the open interval is
+            # think-time, reported apart from the (empty) phases.
             open_wall = time.perf_counter() - pending.ready_at
-            self._record_open_interval(open_wall)
         self.iteration = pending.iteration + 1
         self._pending = None
         self._notify_obs("decline", {}, open_interval_seconds=open_wall)
@@ -447,18 +422,6 @@ class IncrementalSessionEngine:
     # ------------------------------------------------------------------ #
     # transient observability (ENGINE.md §9)
     # ------------------------------------------------------------------ #
-    def _record_open_interval(self, seconds: float) -> None:
-        self.last_open_interval = seconds
-        self.open_interval_seconds += seconds
-
-    def _phase_deltas(self, before: dict) -> dict:
-        """Per-command phase seconds: current totals minus a snapshot."""
-        return {
-            k: v - before.get(k, 0.0)
-            for k, v in self.phase_timings.items()
-            if v != before.get(k, 0.0)
-        }
-
     def _notify_obs(
         self,
         command: str,
@@ -466,7 +429,7 @@ class IncrementalSessionEngine:
         refit: dict | None = None,
         open_interval_seconds: float | None = None,
     ) -> None:
-        """Build this command's attribution dict and hand it to the observer.
+        """Build this command's record and hand it to the observer.
 
         Everything here is transient and JSON-safe; it never enters
         :meth:`state_dict`, touches no RNG, and a ``None`` observer makes
@@ -645,13 +608,23 @@ class IncrementalSessionEngine:
             return model.predict_proba(L, stats=stats)
         return model.predict_proba(L)
 
-    def _refit(self) -> None:
+    def _refit(self) -> tuple[dict, dict | None]:
+        """Refit the label model, the selection view and the end model.
+
+        Returns ``(phases, refit)`` for the command record: ``phases`` holds
+        the ``label_model`` and ``end_model`` seconds, plus the
+        ``contextualize`` slice of ``label_model`` when a contextualizer is
+        set; ``refit`` holds the path, the end-model fit mode, the EM
+        iterations and the label-fit seconds (``None`` from an override
+        that defers the fit).
+        """
         t0 = time.perf_counter()
         self._cold_warranted_ = self._cold_refit_due()
         self._end_uncapped_ = self._end_refit_uncapped_due()
         self._refit_count += 1
-        self._last_end_fit_mode = "skipped"
+        tc = time.perf_counter()
         L_effective = self._effective_label_matrix()
+        contextualize = time.perf_counter() - tc
         refined = self.contextualizer is not None
         # The handle is only valid for the raw vote matrix; refinement
         # produces a detached dense matrix (warm fits on it build their own
@@ -664,35 +637,28 @@ class IncrementalSessionEngine:
         self.entropies = self._entropy(self.soft_labels)
         self._refit_selection_view(refined)
         t1 = time.perf_counter()
-        self.phase_timings["label_model"] += t1 - t0
         if refined:
             covered = self._coverage_mask(L_effective)
         else:
             covered = self._L_train.coverage_mask()
+        mode = "skipped"
         if covered.any():
-            self._fit_end_model(covered, refined)
+            mode = self._fit_end_model(covered, refined)
             self._end_model_fitted = True
             self._update_proxy()
-        self.phase_timings["end_model"] += time.perf_counter() - t1
+        phases = {"label_model": t1 - t0, "end_model": time.perf_counter() - t1}
+        if refined:
+            phases["contextualize"] = contextualize
         self._selector_cache.clear()
-        # Transient refit attribution for the observer / sweep payloads.
         path = "cold" if self._cold_warranted_ else "warm"
-        self.refit_counts[path] = self.refit_counts.get(path, 0) + 1
-        mode = self._last_end_fit_mode
-        self.end_fit_counts[mode] = self.end_fit_counts.get(mode, 0) + 1
-        em_iterations = int(getattr(model, "em_iterations_", 0) or 0)
-        self.em_iteration_counts[path] = (
-            self.em_iteration_counts.get(path, 0) + em_iterations
-        )
-        self.label_fit_seconds[path] = (
-            self.label_fit_seconds.get(path, 0.0) + label_fit_seconds
-        )
-        self.last_refit_obs = {
+        self.refit_counts[path] += 1
+        refit = {
             "path": path,
             "end_fit_mode": mode,
-            "em_iterations": em_iterations,
+            "em_iterations": int(getattr(model, "em_iterations_", 0) or 0),
             "fit_seconds": label_fit_seconds,
         }
+        return phases, refit
 
     # ------------------------------------------------------------------ #
     # end-model refits (ENGINE.md §7)
@@ -761,18 +727,19 @@ class IncrementalSessionEngine:
         if keep_rng is not None:
             self.end_model.mb_rng_state_ = keep_rng
 
-    def _fit_end_model(self, covered: np.ndarray, refined: bool) -> None:
+    def _fit_end_model(self, covered: np.ndarray, refined: bool) -> str:
         """Route one end-model refit: backstop, warm-capped, or minibatch.
 
-        Uncapped (backstop) fits always use the exact ascending-order
-        fancy-index slice, so their inputs are bit-for-bit those of the
-        from-scratch path.  Warm refits stream the covered buffer through
-        the end model's ``fit_minibatch``; refined (contextualized)
-        coverage is not monotone, so those sessions keep the exact slice
-        as input even for minibatch fits.  A warm refit falls back to the
-        L-BFGS fit capped at :data:`WARM_END_ITER` when the end model has
-        no ``fit_minibatch`` or the covered set is below the gate
-        described next.
+        Returns the mode that ran: ``"uncapped"``, ``"warm_capped"`` or
+        ``"minibatch"``.  Uncapped (backstop) fits always use the exact
+        ascending-order fancy-index slice, so their inputs are bit-for-bit
+        those of the from-scratch path.  Warm refits stream the covered
+        buffer through the end model's ``fit_minibatch``; refined
+        (contextualized) coverage is not monotone, so those sessions keep
+        the exact slice as input even for minibatch fits.  A warm refit
+        falls back to the L-BFGS fit capped at :data:`WARM_END_ITER` when
+        the end model has no ``fit_minibatch`` or the covered set is below
+        the gate described next.
 
         Like warm starts themselves, stochastic refits are a *scale*
         feature: on a small covered set a "minibatch" is just full-batch
@@ -795,8 +762,7 @@ class IncrementalSessionEngine:
             else:
                 X_covered, targets = self._covered_training_set(covered)
             self.end_model.fit_minibatch(X_covered, targets, rng=self._end_minibatch_rng())
-            self._last_end_fit_mode = "minibatch"
-            return
+            return "minibatch"
         idx = np.flatnonzero(covered)
         X_covered = self.dataset.train.X[idx]
         targets = self.soft_labels[covered]
@@ -811,15 +777,13 @@ class IncrementalSessionEngine:
             self.end_model.fit(X_covered, targets)
             if anchored:
                 self._end_anchor_ = self.end_model.state_dict()
-            self._last_end_fit_mode = "uncapped"
-        else:
-            self.end_model.fit(X_covered, targets, max_iter=WARM_END_ITER)
-            self._last_end_fit_mode = "warm_capped"
+            return "uncapped"
+        self.end_model.fit(X_covered, targets, max_iter=WARM_END_ITER)
+        return "warm_capped"
 
     def _effective_label_matrix(self) -> np.ndarray:
         if self.contextualizer is None:
             return self.L_train
-        t0 = time.perf_counter()
         if self.percentile_tuner is not None and self._should_tune():
             self.active_percentile_ = self.percentile_tuner.best_percentile(
                 self.contextualizer,
@@ -829,11 +793,9 @@ class IncrementalSessionEngine:
                 self.label_model_factory,
                 self.dataset.valid.y,
             )
-        refined = self.contextualizer.refine(
+        return self.contextualizer.refine(
             self.L_train, self.lineage, "train", percentile=self.active_percentile_
         )
-        self.phase_timings["contextualize"] += time.perf_counter() - t0
-        return refined
 
     def _refit_selection_view(self, refined: bool) -> None:
         """Posterior over the *unrefined* votes, for selectors only.

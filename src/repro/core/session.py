@@ -92,7 +92,7 @@ class DataProgrammingSession(IncrementalSessionEngine, InteractiveMethod):
     multiclass session); this class binds the binary
     :class:`~repro.core.convention.VoteConvention` — which carries the ±1
     vote alphabet, the MeTaL default aggregator, and the logistic end
-    model — and supplies the ``proxy_labels`` / calibration plumbing.
+    model — and supplies the ``proxy_labels`` plumbing.
 
     Parameters
     ----------
@@ -120,13 +120,6 @@ class DataProgrammingSession(IncrementalSessionEngine, InteractiveMethod):
         iterations.
     tune_every:
         Cadence of percentile re-tuning.
-    calibrate_proxy:
-        Optionally Platt-calibrate the end model's probabilities on the
-        validation split before handing them to selectors as the
-        ground-truth proxy.  Off by default — the paper feeds raw end-model
-        predictions to SEU; the calibrated variant is provided for study
-        (see :mod:`repro.endmodel.calibration`).  Calibration refreshes
-        the proxy eagerly on every refit.
     full_refit_every / warm_after / warm_min_train:
         The refit schedule — when refits are cold or warm-started; see
         :meth:`~repro.core.engine.IncrementalSessionEngine._init_engine`
@@ -153,7 +146,6 @@ class DataProgrammingSession(IncrementalSessionEngine, InteractiveMethod):
         contextualizer: LFContextualizer | None = None,
         percentile_tuner: PercentileTuner | None = None,
         tune_every: int = 5,
-        calibrate_proxy: bool = False,
         full_refit_every: int = 10,
         warm_after: int = 8,
         warm_min_train: int = 2000,
@@ -164,7 +156,6 @@ class DataProgrammingSession(IncrementalSessionEngine, InteractiveMethod):
             label_model_factory = self.convention.default_label_model_factory(dataset)
         if end_model is None:
             end_model = self.convention.default_end_model(dataset)
-        self.calibrate_proxy = calibrate_proxy
         self.family = LFFamily(dataset.primitive_names, dataset.train.B)
 
         n_train = dataset.train.n
@@ -215,22 +206,6 @@ class DataProgrammingSession(IncrementalSessionEngine, InteractiveMethod):
             cache=self._selector_cache,
             proxy_provider=self._resolve_proxy,
         )
-
-    def _update_proxy(self) -> None:
-        if not self.calibrate_proxy:
-            super()._update_proxy()
-            return
-        from repro.endmodel.calibration import PlattCalibrator
-
-        calibrator = PlattCalibrator()
-        self.proxy_proba = calibrator.fit_transform_from(
-            self.end_model,
-            self.dataset.valid.X,
-            self.dataset.valid.y,
-            self.dataset.train.X,
-        )
-        self.proxy_labels = np.where(self.proxy_proba >= 0.5, 1, -1)
-        self._proxy_stale = False
 
     def _refresh_proxy(self) -> None:
         self.proxy_proba = self.end_model.predict_proba(self.dataset.train.X)

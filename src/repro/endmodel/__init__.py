@@ -1,6 +1,5 @@
-"""End models (soft-label logistic/softmax regression), calibration, metrics."""
+"""End models (soft-label logistic/softmax regression) and metrics."""
 
-from repro.endmodel.calibration import PlattCalibrator
 from repro.endmodel.logistic import SoftLabelLogisticRegression
 from repro.endmodel.softmax import SoftLabelSoftmaxRegression
 from repro.endmodel.metrics import (
@@ -17,7 +16,6 @@ from repro.endmodel.metrics import (
 __all__ = [
     "SoftLabelLogisticRegression",
     "SoftLabelSoftmaxRegression",
-    "PlattCalibrator",
     "METRICS",
     "get_metric",
     "accuracy_score",

@@ -56,17 +56,19 @@ class ImplyLossSession(DataProgrammingSession):
         self.imply_model_: ImplyLossModel | None = None
         self._dirty = False
 
-    def _refit(self) -> None:
+    def _refit(self) -> tuple[dict, None]:
         """Defer the (expensive) joint-model fit until predictions are needed.
 
         ImplyLoss training is by far the costliest learning stage, and this
         baseline pairs it with *random* selection (paper Sec. 5.2) — no
         component consumes the model state between evaluations — so marking
         the model dirty here and fitting lazily in :meth:`predict_test`
-        is behaviour-preserving.
+        is behaviour-preserving.  No refit ran, so the command record gets
+        no learning phases and no refit facts.
         """
         self._dirty = True
         self._selector_cache.clear()
+        return {}, None
 
     def _refit_now(self) -> None:
         model = ImplyLossModel(

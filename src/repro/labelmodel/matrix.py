@@ -385,7 +385,7 @@ class ColumnStats:
     every time, O(n·m) per EM step.  This handle exposes the vote matrix's
     per-column fire structure (appended in O(nnz_col) as columns arrive)
     as cached CSC matrices, so those sums become O(nnz) sparse mat-vecs
-    reused across all EM/SGD iterations of a fit *and* across the label
+    reused across all EM iterations of a fit *and* across the label
     fit, the posterior prediction, and the selection-view fit of one
     engine refit.
 

@@ -17,11 +17,10 @@ coalition is declared anti-perfect and every label collapses to a single
 class.  The propensity terms penalize that mode because it cannot explain
 why an LF's fire rate differs so strongly between the hypothesized classes.
 
-Fitting is by EM (default) or Adam on the marginal likelihood via Fisher's
-identity (``method="sgd"``, mirroring MeTaL's gradient training).  The
-posterior weights each vote by its estimated log-odds accuracy — "the more
-accurate an LF is, the larger the weight its vote receives" (Sec. 4.3) —
-plus the fire/abstain evidence.
+Fitting is by EM with closed-form anchored M-steps.  The posterior
+weights each vote by its estimated log-odds accuracy — "the more accurate
+an LF is, the larger the weight its vote receives" (Sec. 4.3) — plus the
+fire/abstain evidence.
 """
 
 from __future__ import annotations
@@ -48,7 +47,7 @@ def _logit(p):
 
 
 class MetalLabelModel(LabelModel):
-    """EM/SGD-trained abstain-aware generative model.
+    """EM-trained abstain-aware generative model.
 
     Parameters
     ----------
@@ -57,7 +56,7 @@ class MetalLabelModel(LabelModel):
         when ``learn_prior=True`` (default) — a fixed misspecified prior
         acts as persistent one-sided evidence during fitting.
     n_iter:
-        Maximum EM iterations (or Adam epochs for ``method="sgd"``).
+        Maximum EM iterations.
     tol:
         Convergence threshold on the max parameter change.
     init_accuracy:
@@ -67,8 +66,6 @@ class MetalLabelModel(LabelModel):
         Strength (in pseudo-votes) of the Beta anchor pulling each
         accuracy toward ``init_accuracy`` — Snorkel-style regularization
         that keeps thinly-covered LFs identifiable.
-    method:
-        ``"em"`` (closed-form M-steps, default) or ``"sgd"``.
     learn_prior:
         Whether to re-estimate the class balance during fitting (default).
         Supplied priors are estimates (the paper's pipeline estimates class
@@ -100,7 +97,7 @@ class MetalLabelModel(LabelModel):
     converged_:
         Whether fitting reached ``tol`` before the iteration cap.
     em_iterations_:
-        EM iterations (or Adam epochs) the last fit actually ran — the
+        EM iterations the last fit actually ran — the
         obs layer attributes label-model cost with it.
     """
 
@@ -119,8 +116,6 @@ class MetalLabelModel(LabelModel):
         tol: float = 1e-4,
         init_accuracy: float = 0.7,
         anchor: float = 2.0,
-        method: str = "em",
-        learning_rate: float = 0.1,
         learn_prior: bool = True,
         abstain_evidence: bool = False,
     ) -> None:
@@ -133,14 +128,10 @@ class MetalLabelModel(LabelModel):
             )
         if anchor < 0:
             raise ValueError(f"anchor must be >= 0, got {anchor}")
-        if method not in ("em", "sgd"):
-            raise ValueError(f"method must be 'em' or 'sgd', got {method!r}")
         self.n_iter = n_iter
         self.tol = tol
         self.init_accuracy = init_accuracy
         self.anchor = anchor
-        self.method = method
-        self.learning_rate = learning_rate
         self.learn_prior = learn_prior
         self.abstain_evidence = abstain_evidence
         self.accuracies_: np.ndarray | None = None
@@ -199,7 +190,7 @@ class MetalLabelModel(LabelModel):
         class, or the vote matrix shrank).
 
         Warm fits always run on the incremental sufficient-statistics path:
-        every EM/SGD iteration reads the per-column fire structure (the
+        every EM iteration reads the per-column fire structure (the
         ``stats`` handle threaded from the engine, or one built here by a
         single scan of ``L``) instead of re-deriving ``(L != 0)`` masks
         from the dense matrix — O(nnz) per iteration instead of O(n·m),
@@ -246,11 +237,11 @@ class MetalLabelModel(LabelModel):
         q: np.ndarray,
         q_prior: np.ndarray | None = None,
     ) -> None:
-        """Run the configured optimizer from an initial posterior ``q``.
+        """Run EM from an initial posterior ``q``.
 
         ``q_prior`` optionally supplies a different posterior for the class
         balance estimate (warm fits pass the majority posterior to mirror
-        the cold seeding; see :meth:`fit_warm`).  Every EM/SGD iteration
+        the cold seeding; see :meth:`fit_warm`).  Every EM iteration
         runs on the O(nnz) sufficient-statistics path.
         """
         if self.learn_prior:
@@ -261,10 +252,7 @@ class MetalLabelModel(LabelModel):
                     np.clip(balance_q[covered].mean(), _PRIOR_FLOOR, 1 - _PRIOR_FLOOR)
                 )
         acc, rho = self._m_step(self._sufficient_stats(stats, q))
-        if self.method == "em":
-            self._fit_em(stats, acc, rho)
-        else:
-            self._fit_sgd(stats, acc, rho)
+        self._fit_em(stats, acc, rho)
 
     def _fit_em(self, stats: ColumnStats, acc: np.ndarray, rho: np.ndarray) -> None:
         self.converged_ = False
@@ -281,53 +269,6 @@ class MetalLabelModel(LabelModel):
             if delta < self.tol:
                 self.converged_ = True
                 break
-        self.em_iterations_ = iterations
-        self._finalize(acc, rho)
-
-    def _fit_sgd(self, stats: ColumnStats, acc: np.ndarray, rho: np.ndarray) -> None:
-        """Adam on the marginal log-likelihood (gradients via Fisher's identity).
-
-        The expected-complete-data gradient at the current posterior equals
-        the marginal-likelihood gradient, so each step computes the same
-        sufficient statistics as EM but takes a damped gradient step in
-        logit space instead of the closed-form jump.
-        """
-        theta = np.concatenate([_logit(acc), _logit(rho[:, 0]), _logit(rho[:, 1])])
-        adam_m = np.zeros_like(theta)
-        adam_v = np.zeros_like(theta)
-        beta1, beta2, eps = 0.9, 0.999, 1e-8
-        m = stats.m
-        self.converged_ = False
-        iterations = 0
-        for t in range(1, self.n_iter + 1):
-            iterations = t
-            acc = _sigmoid(theta[:m])
-            rho = np.stack([_sigmoid(theta[m : 2 * m]), _sigmoid(theta[2 * m :])], axis=1)
-            q = self._posterior_stats(stats, acc, rho, with_abstain=True)
-            suff = self._sufficient_stats(stats, q)
-            # d ll / d logit(a) = (expected_correct - a * expected_fires) etc.
-            grad_acc = suff["correct"] - acc * suff["fires"]
-            grad_acc += self.anchor * (self.init_accuracy - acc)  # Beta anchor
-            grad_rho_neg = suff["fires_neg"] - rho[:, 0] * suff["mass_neg"]
-            grad_rho_pos = suff["fires_pos"] - rho[:, 1] * suff["mass_pos"]
-            grad = np.concatenate([grad_acc, grad_rho_neg, grad_rho_pos])
-            adam_m = beta1 * adam_m + (1 - beta1) * grad
-            adam_v = beta2 * adam_v + (1 - beta2) * grad**2
-            step = self.learning_rate * (adam_m / (1 - beta1**t)) / (
-                np.sqrt(adam_v / (1 - beta2**t)) + eps
-            )
-            new_theta = theta + step
-            if float(np.max(np.abs(new_theta - theta))) < self.tol:
-                theta = new_theta
-                self.converged_ = True
-                break
-            theta = new_theta
-        acc = np.clip(_sigmoid(theta[:m]), _ACC_FLOOR, _ACC_CEIL)
-        rho = np.clip(
-            np.stack([_sigmoid(theta[m : 2 * m]), _sigmoid(theta[2 * m :])], axis=1),
-            _RHO_FLOOR,
-            _RHO_CEIL,
-        )
         self.em_iterations_ = iterations
         self._finalize(acc, rho)
 

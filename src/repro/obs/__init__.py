@@ -15,12 +15,14 @@ from .metrics import (
     MetricsRegistry,
     parse_prometheus_text,
 )
-from .session import EngineObserver
+from .session import COMPUTE_PHASES, ENGINE_PHASES, EngineObserver
 from .trace import Span, current_span, make_request_id, normalize_request_id, request_span
 
 __all__ = [
+    "COMPUTE_PHASES",
     "Counter",
     "DEFAULT_LATENCY_BUCKETS",
+    "ENGINE_PHASES",
     "EngineObserver",
     "Gauge",
     "Histogram",

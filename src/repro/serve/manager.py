@@ -840,8 +840,9 @@ class SessionManager:
         (live / loading / stored on disk), per-command latency summaries
         estimated from the registry histograms, cold-start stats,
         snapshot-cadence health (how far live sessions have drifted past
-        ``snapshot_every`` without a checkpoint), and the engine-side
-        phase/refit aggregates the shared observer accumulated.  Pure
+        ``snapshot_every`` without a checkpoint), and the shared engine
+        observer's command counts and
+        :meth:`~repro.obs.EngineObserver.totals`.  Pure
         read: touches no session locks beyond the manager registry lock,
         restores nothing, and mutates no counters.
         """
@@ -904,19 +905,7 @@ class SessionManager:
                 "commands": {
                     cmd: int(v) for (cmd,), v in self.observer.commands.items()
                 },
-                "phase_seconds": {
-                    phase: round(v, 6)
-                    for (phase,), v in self.observer.phase_seconds.items()
-                },
-                "refits": {
-                    path: int(v) for (path,), v in self.observer.refits.items()
-                },
-                "end_fits": {
-                    mode: int(v) for (mode,), v in self.observer.end_fits.items()
-                },
-                "open_interval_seconds": round(
-                    self.observer.open_interval_seconds.value(), 6
-                ),
+                **self.observer.totals(),
             },
         }
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 import pickle
 import time
 
+from repro.core.engine import IncrementalSessionEngine
 from repro.data.named import load_named_dataset
 from repro.experiments.protocol import LearningCurve, run_learning_curve
 from repro.experiments.registry import resolve_factory
@@ -23,6 +24,7 @@ from repro.io.checkpoint import (
     load_session_checkpoint,
     save_session_checkpoint,
 )
+from repro.obs import EngineObserver
 from repro.sweep.spec import SweepJob
 from repro.sweep.store import ResultStore
 
@@ -55,32 +57,17 @@ def _cached_dataset(job: SweepJob):
 
 
 def session_obs(method) -> dict | None:
-    """The engine's observability counters as a plain-JSON dict, or ``None``.
+    """A job record's ``obs`` section, or ``None`` for a baseline.
 
-    Baselines without the engine's instrumentation (no ``phase_timings``)
-    yield ``None`` so their records carry no empty section.  Every field
-    is transient — checkpoints carry no clock readings or counters — so
-    on a resumed job they all cover the post-resume stretch only.
+    The totals of the private :class:`~repro.obs.EngineObserver` that
+    :func:`run_sweep_job` attaches to every engine session.  Baselines
+    without the engine carry none, so their records get no empty section.
+    The observer is transient — checkpoints carry no clock readings or
+    counters — so on a resumed job the totals cover the post-resume
+    stretch only.
     """
-    timings = getattr(method, "phase_timings", None)
-    if not isinstance(timings, dict):
-        return None
-    return {
-        "phase_seconds": {str(k): float(v) for k, v in sorted(timings.items())},
-        "refits": {str(k): int(v) for k, v in sorted(getattr(method, "refit_counts", {}).items())},
-        "end_fits": {
-            str(k): int(v) for k, v in sorted(getattr(method, "end_fit_counts", {}).items())
-        },
-        "em_iterations": {
-            str(k): int(v)
-            for k, v in sorted(getattr(method, "em_iteration_counts", {}).items())
-        },
-        "label_fit_seconds": {
-            str(k): float(v)
-            for k, v in sorted(getattr(method, "label_fit_seconds", {}).items())
-        },
-        "open_interval_seconds": float(getattr(method, "open_interval_seconds", 0.0)),
-    }
+    observer = getattr(method, "observer", None)
+    return observer.totals() if isinstance(observer, EngineObserver) else None
 
 
 def run_sweep_job(
@@ -151,6 +138,8 @@ def run_sweep_job(
         if fail_after_iteration is not None and it >= fail_after_iteration:
             raise SweepJobCrash(f"injected crash after iteration {it} of {job.key}")
 
+    if isinstance(method, IncrementalSessionEngine):
+        method.observer = EngineObserver()  # private: this job's totals only
     t0 = time.perf_counter()
     curve = run_learning_curve(
         method,

@@ -24,6 +24,7 @@ import pytest
 from repro.core.session import DataProgrammingSession
 from repro.interactive.basic_selectors import RandomSelector
 from repro.interactive.simulated_user import SimulatedUser
+from repro.obs import EngineObserver
 
 
 N_ITERATIONS = 25
@@ -121,10 +122,12 @@ class TestEngineConfiguration:
                 ds, RandomSelector(), SimulatedUser(ds, seed=7), seed=3, **kwargs
             )
 
-        a = make(full_refit_every=1, warm_min_train=0).run(12)
+        a = make(full_refit_every=1, warm_min_train=0)
+        a.observer = EngineObserver()
+        a.run(12)
         assert a.refit_counts["warm"] == 0
         assert a.refit_counts["cold"] > 0
-        assert set(a.end_fit_counts) == {"uncapped"}
+        assert set(a.observer.totals()["end_fits"]) == {"uncapped"}
         b = make().run(12)  # below the default warm_min_train: all exact
         np.testing.assert_array_equal(a.soft_labels, b.soft_labels)
         np.testing.assert_array_equal(a.entropies, b.entropies)

@@ -8,7 +8,9 @@ code path must not come back.  Each retired knob is pinned here: passing
 it fails at the call, and its module-level constants stay gone.  The same
 holds for the retired refit-schedule knobs: ``warm_start`` (a second
 spelling of ``full_refit_every=1``), the warm iteration caps (now engine
-constants) and the drift-adaptive ``full_refit_every="auto"`` cadence.
+constants) and the drift-adaptive ``full_refit_every="auto"`` cadence, and
+for the second optimizers: ``MetalLabelModel(method="sgd")`` and the
+binary session's Platt-calibrated proxy (``calibrate_proxy``).
 """
 
 import importlib
@@ -42,6 +44,21 @@ from repro.multiclass.simulated_user import MCSimulatedUser
 def test_label_models_take_no_cold_path(make):
     with pytest.raises(TypeError, match="cold_path"):
         make()
+
+
+@pytest.mark.parametrize("knob,value", [("method", "sgd"), ("learning_rate", 0.1)])
+def test_metal_takes_no_optimizer_knobs(knob, value):
+    # EM with closed-form M-steps is MetalLabelModel's only optimizer; the
+    # Adam path and its step size are gone.
+    with pytest.raises(TypeError, match=knob):
+        MetalLabelModel(**{knob: value})
+
+
+def test_binary_session_takes_no_calibrate_proxy():
+    # The proxy is the raw end-model prediction, refreshed on the refit
+    # path's schedule; the eager Platt-calibrated variant is gone.
+    with pytest.raises(TypeError, match="calibrate_proxy"):
+        DataProgrammingSession(None, None, None, calibrate_proxy=True)
 
 
 @pytest.mark.parametrize(
@@ -109,6 +126,7 @@ def test_end_models_predict_full_matrices_only(end_model_cls):
         ("repro.core.engine", "AUTO_REFIT_BASE"),
         ("repro.core.engine", "AUTO_DRIFT_TOL"),
         ("repro.core.engine", "AUTO_MAX_SKIPS"),
+        ("repro.endmodel", "PlattCalibrator"),
     ],
 )
 def test_routing_constants_are_gone(module, name):

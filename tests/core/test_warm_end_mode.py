@@ -24,6 +24,7 @@ from repro.multiclass import make_topics_dataset
 from repro.multiclass.selection import MCRandomSelector
 from repro.multiclass.session import MultiClassSession
 from repro.multiclass.simulated_user import MCSimulatedUser
+from repro.obs import EngineObserver
 
 
 def hide_minibatch(cls):
@@ -67,6 +68,7 @@ def paired_modes(tiny_dataset):
         )
 
     mb, lb = make(SoftLabelLogisticRegression()), make(NoMinibatchLogistic())
+    mb.observer, lb.observer = EngineObserver(), EngineObserver()
     records = []
     for _ in range(N_ITERATIONS):
         mb.step()
@@ -97,9 +99,11 @@ class TestBackstopBitIdentity:
         assert mb.end_model.mb_t_ > 0, "no minibatch refit happened — the test is vacuous"
         assert lb.end_model.mb_t_ == 0, "the L-BFGS fallback must never take Adam steps"
         assert any(not r["backstop_mb"] for r in records), "expected warm refits"
-        assert mb.end_fit_counts.get("minibatch", 0) > 0
-        assert lb.end_fit_counts.get("warm_capped", 0) > 0
-        assert "minibatch" not in lb.end_fit_counts
+        mb_fits = mb.observer.totals()["end_fits"]
+        lb_fits = lb.observer.totals()["end_fits"]
+        assert mb_fits.get("minibatch", 0) > 0
+        assert lb_fits.get("warm_capped", 0) > 0
+        assert "minibatch" not in lb_fits
 
     def test_backstop_state_bit_identical(self, paired_modes):
         _, _, records = paired_modes

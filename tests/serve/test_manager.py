@@ -136,16 +136,24 @@ class TestMultiSessionIsolation:
         ]
         assert manager.score("s1")["test_score"] == plain.test_score()
 
-    def test_phase_timings_are_per_session(self, tmp_path):
+    def test_command_records_are_per_session(self, tmp_path):
         manager = SessionManager(tmp_path)
         manager.create("s1", **CFG_A)
         manager.create("s2", **CFG_B)
         manager.step("s1")
         s1 = manager._get("s1").session
         s2 = manager._get("s2").session
-        assert s1.phase_timings is not s2.phase_timings
         assert s1.rng is not s2.rng
-        assert s2.phase_timings["select"] == 0.0
+        # Each engine reports only its own commands; the one shared
+        # observer sums them, so s2 (never stepped) contributed nothing.
+        assert s1.last_command_obs is not None
+        assert s2.last_command_obs is None
+        assert s1.observer is s2.observer is manager.observer
+        commands = dict(manager.observer.commands.items())
+        assert commands[("propose",)] == 1
+        totals = manager.observer.totals()
+        assert totals["phase_seconds"]["select"] > 0.0
+        assert totals["refits"] == s1.refit_counts
 
 
 class TestDurability:

@@ -1,5 +1,6 @@
 """Sweep records carry engine observability sections and aggregate them."""
 
+from repro.obs import ENGINE_PHASES
 from repro.sweep import ResultStore, SweepSpec, session_obs
 from repro.sweep.worker import run_sweep_job
 
@@ -30,6 +31,7 @@ class TestSweepObs:
             "open_interval_seconds",
         }
         assert obs["phase_seconds"]  # engine sessions always accrue phases
+        assert set(obs["phase_seconds"]) == set(ENGINE_PHASES)
         assert all(isinstance(v, float) for v in obs["phase_seconds"].values())
         # Every protocol iteration ends in exactly one refit.
         assert sum(obs["refits"].values()) == SPEC_KW["n_iterations"]
@@ -72,8 +74,8 @@ class TestSweepObs:
             "open_interval_seconds": 0.0,
         }
 
-    def test_session_obs_requires_phase_timings(self):
+    def test_session_obs_requires_an_engine_observer(self):
         class Bare:
-            pass
+            observer = None
 
         assert session_obs(Bare()) is None

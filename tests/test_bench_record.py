@@ -18,11 +18,11 @@ def load_checker():
     from benchmarks.bench_perf_session import (
         LARGE_N_SPEEDUP,
         LARGE_N_TRAIN,
-        PHASE_KEYS,
         check_record,
     )
+    from repro.obs import ENGINE_PHASES
 
-    return check_record, PHASE_KEYS, LARGE_N_TRAIN, LARGE_N_SPEEDUP
+    return check_record, ENGINE_PHASES, LARGE_N_TRAIN, LARGE_N_SPEEDUP
 
 
 def load_record():

@@ -214,3 +214,73 @@ class TestSweepSubcommand:
         )
         assert code == 0
         assert "curve average" in capsys.readouterr().out
+
+
+def _assert_phase_breakdown(line: str) -> None:
+    """The printed phase shares of a contextualized (Nemo) session add up.
+
+    The four top-level phases partition compute, so their shares make
+    100% (up to four roundings); ``contextualize`` runs inside
+    ``label_model`` and is printed as a share of that phase instead.
+    """
+    import re
+
+    parts = {
+        m.group(1): (float(m.group(2)), int(m.group(3)), m.group(4))
+        for m in re.finditer(r"(\w+)=([\d.]+)s \((\d+)%( of label_model)?\)", line)
+    }
+    top = ("select", "develop", "label_model", "end_model")
+    assert set(parts) == set(top) | {"contextualize"}, line
+    assert abs(sum(parts[p][1] for p in top) - 100) <= 2, line
+    assert all(parts[p][2] is None for p in top), line
+    seconds, share, of = parts["contextualize"]
+    assert of == " of label_model", line
+    assert 0 < share <= 100 and seconds <= parts["label_model"][0], line
+
+
+class TestEnginePhaseBreakdown:
+    def test_metrics_counts_contextualize_once(self, tmp_path, monkeypatch, capsys):
+        from repro.serve import client as client_module
+        from repro.serve.manager import SessionManager
+
+        manager = SessionManager(tmp_path)
+        manager.create("s", method="nemo", dataset="amazon", scale="tiny", seed=0)
+        for _ in range(6):
+            manager.step("s")
+
+        class InProcessClient:
+            def __init__(self, url, timeout=None):
+                pass
+
+            def statusz(self):
+                return manager.statusz()
+
+            def close(self):
+                pass
+
+        monkeypatch.setattr(client_module, "SessionClient", InProcessClient)
+        assert main(["metrics", "http://127.0.0.1:1"]) == 0
+        out = capsys.readouterr().out
+        (line,) = [l for l in out.splitlines() if l.startswith("engine phases:")]
+        _assert_phase_breakdown(line)
+
+    def test_sweep_counts_contextualize_once(self, tmp_path, capsys):
+        import re
+
+        argv = [
+            "sweep",
+            "--datasets", "youtube",
+            "--methods", "nemo",
+            "--scale", "tiny",
+            "--iterations", "6",
+            "--eval-every", "3",
+            "--seeds", "1",
+            "--out", str(tmp_path / "out"),
+        ]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        (line,) = [l for l in out.splitlines() if l.startswith("engine obs")]
+        _assert_phase_breakdown(line)
+        compute = float(re.search(r"([\d.]+)s compute", line).group(1))
+        printed = re.findall(r"(select|develop|label_model|end_model)=([\d.]+)s", line)
+        assert compute == pytest.approx(sum(float(s) for _, s in printed), abs=0.03)
