@@ -17,6 +17,8 @@ which is exactly how :class:`BatchDataProgrammingSession` selects.
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 
 from repro.core.selection import DevDataSelector, SessionState
@@ -93,15 +95,27 @@ class BatchDataProgrammingSession(DataProgrammingSession):
             )
 
     def step(self) -> None:
+        """Select a batch, develop an LF per example, and refit once.
+
+        The step reports one command record to the observer (ENGINE.md
+        §9): ``"submit"`` when it refits, with the batch's selection,
+        develop commits and learning phases and the time the simulated
+        user spent on the batch as the open interval; ``"decline"`` when
+        no LF was appended, with the selection phase and the user's time.
+        """
+        t0 = time.perf_counter()
         state = self.build_state()
         batch = self.selector.select_batch(state)
+        select = time.perf_counter() - t0
         self.iteration += 1
-        if not batch:
-            return
+        develop = user_seconds = 0.0
         appended = 0
         for dev_index in batch:
             self.selected.add(dev_index)
+            t0 = time.perf_counter()
             lf = self.user.create_lf(dev_index, state)
+            t1 = time.perf_counter()
+            user_seconds += t1 - t0
             if lf is None:
                 continue
             # The engine's all-or-nothing develop commit (votes + lineage
@@ -109,5 +123,18 @@ class BatchDataProgrammingSession(DataProgrammingSession):
             self._commit_develop(lf, dev_index, self.iteration - 1)
             state.lfs.append(lf)  # visible to later picks in the same batch
             appended += 1
-        if appended:
-            self._refit()
+            develop += time.perf_counter() - t1
+        if not appended:
+            self._notify_obs(
+                "decline",
+                {"select": select},
+                open_interval_seconds=user_seconds if batch else None,
+            )
+            return
+        phases, refit = self._refit()
+        self._notify_obs(
+            "submit",
+            {"select": select, "develop": develop, **phases},
+            refit=refit,
+            open_interval_seconds=user_seconds,
+        )

@@ -32,7 +32,6 @@ import numpy as np
 
 from repro.core.contextualizer import LFContextualizer
 from repro.core.lineage import LineageStore
-from repro.labelmodel.matrix import validate_label_matrix
 from repro.utils.validation import check_in_range
 
 
@@ -70,69 +69,35 @@ class ContextSequenceContextualizer(LFContextualizer):
         self.max_window = max_window
 
     # ------------------------------------------------------------------ #
-    # context distances
+    # context distances (the per-column hook of LFContextualizer)
     # ------------------------------------------------------------------ #
-    def context_distances(self, lineage: LineageStore, split: str) -> np.ndarray:
-        """``(n_split, m)`` recency-weighted context distances.
+    def column_distances(self, lineage: LineageStore, split: str, j: int) -> np.ndarray:
+        """``(n_split,)`` recency-weighted context distances ``d_ctx(x, λ_j)``.
 
-        Column ``j`` holds ``d_ctx(x_i, λ_j)`` for every example ``i`` of
-        the split.  The context of λ_j consists of the development points
-        of all records with ``iteration <= iteration_j`` (the user had seen
-        them when writing λ_j), ordered by iteration.
+        The context of λ_j consists of the development points of all
+        records with ``iteration <= iteration_j`` (the user had seen them
+        when writing λ_j), ordered by iteration.  Radii and refinement are
+        inherited: Eq. 4 runs on these distances instead of the single
+        development point's.
         """
-        base = lineage.distances(split, self.metric)  # (n, m) single-point columns
-        m = base.shape[1]
-        if m == 0:
-            return base
         iterations = np.array([r.iteration for r in lineage.records], dtype=int)
-        out = np.empty_like(base)
-        for j in range(m):
-            # Records visible to the author of λ_j, most recent last.
-            visible = np.flatnonzero(iterations <= iterations[j])
-            visible = visible[np.argsort(iterations[visible], kind="stable")]
-            if self.max_window is not None:
-                visible = visible[-self.max_window :]
-            ages = iterations[j] - iterations[visible]
-            with np.errstate(invalid="ignore"):
-                weights = np.where(ages == 0, 1.0, self.gamma**ages)
-            total = weights.sum()
-            out[:, j] = (base[:, visible] @ weights) / total
-        return out
+        # Records visible to the author of λ_j, most recent last.
+        visible = np.flatnonzero(iterations <= iterations[j])
+        visible = visible[np.argsort(iterations[visible], kind="stable")]
+        if self.max_window is not None:
+            visible = visible[-self.max_window :]
+        ages = iterations[j] - iterations[visible]
+        with np.errstate(invalid="ignore"):
+            weights = np.where(ages == 0, 1.0, self.gamma**ages)
+        base = np.stack(
+            [lineage.distance_column(split, self.metric, k) for k in visible], axis=1
+        )
+        return (base @ weights) / weights.sum()
 
-    # ------------------------------------------------------------------ #
-    # LFContextualizer interface (radii/refine on context distances)
-    # ------------------------------------------------------------------ #
-    def radii(self, lineage: LineageStore, percentile: float | None = None) -> np.ndarray:
-        """Per-LF radii: the ``p``-th percentile of *context* distances."""
-        p = self.percentile if percentile is None else percentile
-        check_in_range("percentile", p, 0.0, 100.0)
-        train_dists = self.context_distances(lineage, "train")
-        if train_dists.shape[1] == 0:
-            return np.zeros(0)
-        return np.percentile(train_dists, p, axis=0)
-
-    def refine(
-        self,
-        L: np.ndarray,
-        lineage: LineageStore,
-        split: str = "train",
-        percentile: float | None = None,
-    ) -> np.ndarray:
-        """Apply Eq. 4 against the recency-weighted context distances."""
-        L = validate_label_matrix(L)
-        if L.shape[1] != len(lineage):
-            raise ValueError(
-                f"label matrix has {L.shape[1]} columns but lineage has "
-                f"{len(lineage)} records"
-            )
-        if L.shape[1] == 0:
-            return L.copy()
-        radii = self.radii(lineage, percentile)
-        dists = self.context_distances(lineage, split)
-        if dists.shape[0] != L.shape[0]:
-            raise ValueError(
-                f"distance rows ({dists.shape[0]}) do not match label matrix "
-                f"rows ({L.shape[0]})"
-            )
-        keep = dists <= radii[None, :]
-        return np.where(keep, L, 0).astype(np.int8)
+    def context_distances(self, lineage: LineageStore, split: str) -> np.ndarray:
+        """``(n_split, m)`` context distances; column ``j`` is :meth:`column_distances`."""
+        if not len(lineage):
+            return np.zeros((lineage.dataset.splits[split].n, 0))
+        return np.stack(
+            [self.column_distances(lineage, split, j) for j in range(len(lineage))], axis=1
+        )

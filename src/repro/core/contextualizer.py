@@ -18,10 +18,13 @@ latter).
 
 from __future__ import annotations
 
+import inspect
+
 import numpy as np
 
 from repro.core.convention import BINARY, VoteConvention
 from repro.core.lineage import LineageStore
+from repro.labelmodel.matrix import VoteMatrix
 from repro.text.distance import DISTANCE_NAMES
 from repro.utils.validation import check_in_range
 
@@ -53,28 +56,50 @@ class LFContextualizer:
         self.percentile = percentile
         self.convention = convention
 
-    def radii(self, lineage: LineageStore, percentile: float | None = None) -> np.ndarray:
-        """Per-LF refinement radii ``r_j`` from train-split distances."""
+    def column_distances(self, lineage: LineageStore, split: str, j: int) -> np.ndarray:
+        """``(n_split,)`` distances of every split example to LF ``j``.
+
+        The one per-column hook of Eq. 4: ``dist(x, x_{λ_j})`` to the LF's
+        development point here; subclasses measure a different context.
+        """
+        return lineage.distance_column(split, self.metric, j)
+
+    def _resolve_percentile(self, percentile: float | None) -> float:
         p = self.percentile if percentile is None else percentile
         check_in_range("percentile", p, 0.0, 100.0)
-        train_dists = lineage.distances("train", self.metric)
-        if train_dists.shape[1] == 0:
-            return np.zeros(0)
-        return np.percentile(train_dists, p, axis=0)
+        return float(p)
+
+    def _radius(self, lineage: LineageStore, j: int, p: float) -> float:
+        return np.percentile(self.column_distances(lineage, "train", j), p)
+
+    def radii(self, lineage: LineageStore, percentile: float | None = None) -> np.ndarray:
+        """Per-LF refinement radii ``r_j`` from train-split distances."""
+        p = self._resolve_percentile(percentile)
+        return np.array([self._radius(lineage, j, p) for j in range(len(lineage))], dtype=float)
 
     def refine(
         self,
-        L: np.ndarray,
+        L: np.ndarray | VoteMatrix,
         lineage: LineageStore,
         split: str = "train",
         percentile: float | None = None,
-    ) -> np.ndarray:
+    ) -> np.ndarray | VoteMatrix:
         """Apply Eq. 4: abstain votes outside each LF's radius.
+
+        Column ``j`` of the result depends only on lineage record ``j`` and
+        raw column ``j``: the raw column's votes are kept where
+        ``dist_j <= r_j``, and nothing else changes.
 
         Parameters
         ----------
         L:
-            ``(n_split, m)`` label matrix produced by the *unrefined* LFs.
+            The votes of the *unrefined* LFs on ``split``, one column per
+            lineage record.  A dense ``(n_split, m)`` array is validated
+            and refined into a new array.  A :class:`VoteMatrix` (the
+            session's append-only store) returns the refined
+            :class:`VoteMatrix` cached on ``lineage`` for this
+            contextualizer, split and percentile: only the columns
+            appended since the previous call are refined, each once.
         lineage:
             Store holding the m records aligned with L's columns.
         split:
@@ -82,23 +107,91 @@ class LFContextualizer:
         percentile:
             Optional override of the configured ``p``.
         """
+        p = self._resolve_percentile(percentile)
+        if isinstance(L, VoteMatrix):
+            self._check_shape(L.shape, lineage, split)
+            state = self._refinement(lineage, p)
+            cached = state.matrices.get(split)
+            if cached is None or cached[0] is not L:
+                cached = state.matrices[split] = (L, VoteMatrix(L.n_rows, abstain=L.abstain))
+            return self._extend(cached[1], L, lineage, split, state.radii)
         L = self.convention.validate_matrix(L)
-        if L.shape[1] != len(lineage):
+        self._check_shape(L.shape, lineage, split)
+        abstain = self.convention.abstain
+        refined = VoteMatrix(L.shape[0], abstain=abstain, capacity=max(1, L.shape[1]))
+        raw = VoteMatrix.from_dense(L, abstain=abstain)
+        return self._extend(refined, raw, lineage, split, self.radii(lineage, p)).values
+
+    def _extend(
+        self,
+        refined: VoteMatrix,
+        raw: VoteMatrix,
+        lineage: LineageStore,
+        split: str,
+        radii,
+    ) -> VoteMatrix:
+        """Append the refinement of raw columns ``refined.m:`` to ``refined``."""
+        stats = raw.stats
+        for j in range(refined.m, raw.m):
+            rows = stats.rows(j)
+            keep = self.column_distances(lineage, split, j)[rows] <= radii[j]
+            refined.append_sparse(rows[keep], stats.values(j)[keep])
+        return refined
+
+    def _refinement(self, lineage: LineageStore, p: float) -> "_Refinement":
+        """This contextualizer's cached state at ``p`` on ``lineage``, grown to date.
+
+        A cached column stays valid while records arrive in iteration
+        order: every record after the cached ones comes from a later
+        iteration.  Engine sessions always append that way (a batch adds
+        its records before it refits); anything else rebuilds the state,
+        because a context that reads earlier iterations
+        (:class:`~repro.core.context_sequence.ContextSequenceContextualizer`)
+        would see a new record in an old column.
+        """
+        key = (self, p)
+        state = lineage.refinements.get(key)
+        records = lineage.records
+        done = 0 if state is None else len(state.radii)
+        if state is None or (
+            0 < done < len(records)
+            and max(r.iteration for r in records[:done])
+            >= min(r.iteration for r in records[done:])
+        ):
+            state = lineage.refinements[key] = _Refinement()
+        state.radii.extend(
+            self._radius(lineage, j, p) for j in range(len(state.radii), len(records))
+        )
+        return state
+
+    @staticmethod
+    def _check_shape(shape: tuple[int, int], lineage: LineageStore, split: str) -> None:
+        n, m = shape
+        if m != len(lineage):
             raise ValueError(
-                f"label matrix has {L.shape[1]} columns but lineage has "
-                f"{len(lineage)} records"
+                f"label matrix has {m} columns but lineage has {len(lineage)} records"
             )
-        if L.shape[1] == 0:
-            return L.copy()
-        radii = self.radii(lineage, percentile)
-        dists = lineage.distances(split, self.metric)
-        if dists.shape[0] != L.shape[0]:
+        n_split = lineage.dataset.splits[split].n
+        if n != n_split:
             raise ValueError(
-                f"distance rows ({dists.shape[0]}) do not match label matrix "
-                f"rows ({L.shape[0]})"
+                f"distance rows ({n_split}) do not match label matrix rows ({n})"
             )
-        keep = dists <= radii[None, :]
-        return np.where(keep, L, self.convention.abstain).astype(np.int8)
+
+
+class _Refinement:
+    """One contextualizer's refinement state at one percentile on one lineage.
+
+    ``radii`` holds ``r_j`` for the first ``len(radii)`` records, and
+    ``matrices`` maps a split to ``(raw, refined)``: the raw
+    :class:`VoteMatrix` it was refined from (identity-checked, so a
+    replaced raw matrix is refined afresh) and the refined one.
+    """
+
+    __slots__ = ("radii", "matrices")
+
+    def __init__(self) -> None:
+        self.radii: list[float] = []
+        self.matrices: dict[str, tuple[VoteMatrix, VoteMatrix]] = {}
 
 
 class PercentileTuner:
@@ -138,13 +231,21 @@ class PercentileTuner:
     def best_percentile(
         self,
         contextualizer: LFContextualizer,
-        L_train: np.ndarray,
-        L_valid: np.ndarray,
+        L_train: np.ndarray | VoteMatrix,
+        L_valid: np.ndarray | VoteMatrix,
         lineage: LineageStore,
         label_model_factory,
         y_valid: np.ndarray,
     ) -> float:
         """Return the grid percentile with the best validation score.
+
+        ``L_train``/``L_valid`` are the raw votes.  A session passes its
+        :class:`VoteMatrix` stores, so each candidate's refined matrices
+        come from the lineage cache (shared with the engine's own refit)
+        and the label model fits on the refined matrix's stats handle; a
+        dense array is validated and wrapped first.  Validation
+        predictions use the dense posterior, like the session's soft
+        labels.
 
         Ties resolve toward the *largest* percentile (least refinement):
         early in a session every candidate may score identically (e.g. F1
@@ -153,14 +254,23 @@ class PercentileTuner:
         """
         convention = contextualizer.convention
         metric_fn = convention.metric_fn(self.metric_name)
+        L_train, L_valid = (
+            L
+            if isinstance(L, VoteMatrix)
+            else VoteMatrix.from_dense(convention.validate_matrix(L), convention.abstain)
+            for L in (L_train, L_valid)
+        )
         best_p = max(self.grid)
         best_score = -np.inf
         for p in sorted(self.grid, reverse=True):
             refined_train = contextualizer.refine(L_train, lineage, "train", percentile=p)
             model = label_model_factory()
-            model.fit(refined_train)
+            if "stats" in inspect.signature(model.fit).parameters:
+                model.fit(refined_train.values, stats=refined_train.stats)
+            else:
+                model.fit(refined_train.values)
             refined_valid = contextualizer.refine(L_valid, lineage, "valid", percentile=p)
-            preds = convention.posterior_to_votes(model.predict_proba(refined_valid))
+            preds = convention.posterior_to_votes(model.predict_proba(refined_valid.values))
             score = metric_fn(y_valid, preds)
             if score > best_score:
                 best_score = score

@@ -94,9 +94,9 @@ class IncrementalSessionEngine:
 
     Subclasses bind the label-space specifics through a
     :class:`~repro.core.convention.VoteConvention` (``self.convention``,
-    set before :meth:`_init_engine`): the abstain sentinel, posterior
-    entropy, and coverage masking all default to the convention's
-    implementations.  Two hooks remain genuinely per-session:
+    set before :meth:`_init_engine`): the abstain sentinel and posterior
+    entropy default to the convention's implementations.  Two hooks
+    remain genuinely per-session:
 
     * :meth:`_refresh_proxy` — recompute the ground-truth proxy from the
       current end model (its shape differs);
@@ -265,8 +265,10 @@ class IncrementalSessionEngine:
     def L_train(self, L: np.ndarray) -> None:
         self._L_train = VoteMatrix.from_dense(L, abstain=self.abstain_value)
         # A wholesale matrix replacement voids the append-only coverage
-        # history the buffer was built from; it is rebuilt lazily.
+        # history the buffer was built from, and the refined matrices grown
+        # from the old votes; both are rebuilt lazily.
         self._covered_buf = None
+        self.lineage.refinements.clear()
 
     @property
     def L_valid(self) -> np.ndarray:
@@ -276,6 +278,7 @@ class IncrementalSessionEngine:
     @L_valid.setter
     def L_valid(self, L: np.ndarray) -> None:
         self._L_valid = VoteMatrix.from_dense(L, abstain=self.abstain_value)
+        self.lineage.refinements.clear()
 
     def _stage_votes(self, lf) -> tuple[np.ndarray, np.ndarray]:
         """Validate one LF's train/valid vote columns; mutate nothing.
@@ -623,24 +626,22 @@ class IncrementalSessionEngine:
         self._end_uncapped_ = self._end_refit_uncapped_due()
         self._refit_count += 1
         tc = time.perf_counter()
-        L_effective = self._effective_label_matrix()
+        votes = self._effective_votes()
         contextualize = time.perf_counter() - tc
         refined = self.contextualizer is not None
-        # The handle is only valid for the raw vote matrix; refinement
-        # produces a detached dense matrix (warm fits on it build their own
-        # stats by a single scan).
-        stats = None if refined else self._L_train.stats
-        model = self._fit_label_model(L_effective, self.label_model_, stats)
+        model = self._fit_label_model(votes.values, self.label_model_, votes.stats)
         label_fit_seconds = time.perf_counter() - t0
         self.label_model_ = model
-        self.soft_labels = self._predict_label_model(model, L_effective, stats)
+        # Refined soft labels come from the dense posterior: the stats
+        # kernel agrees with it only to float tolerance, and the
+        # contextualized goldens pin the dense one.
+        self.soft_labels = self._predict_label_model(
+            model, votes.values, None if refined else votes.stats
+        )
         self.entropies = self._entropy(self.soft_labels)
         self._refit_selection_view(refined)
         t1 = time.perf_counter()
-        if refined:
-            covered = self._coverage_mask(L_effective)
-        else:
-            covered = self._L_train.coverage_mask()
+        covered = votes.coverage_mask()
         mode = "skipped"
         if covered.any():
             mode = self._fit_end_model(covered, refined)
@@ -781,21 +782,32 @@ class IncrementalSessionEngine:
         self.end_model.fit(X_covered, targets, max_iter=WARM_END_ITER)
         return "warm_capped"
 
-    def _effective_label_matrix(self) -> np.ndarray:
+    def _effective_votes(self) -> VoteMatrix:
+        """The vote matrix the learning pipeline fits: raw, or refined by Eq. 4.
+
+        Refined matrices are append-only and cached on the lineage (see
+        :meth:`~repro.core.contextualizer.LFContextualizer.refine`), so a
+        refit refines only the LF columns added since the previous one,
+        and the label model fits on the refined matrix's stats handle.
+        """
         if self.contextualizer is None:
-            return self.L_train
+            return self._L_train
         if self.percentile_tuner is not None and self._should_tune():
             self.active_percentile_ = self.percentile_tuner.best_percentile(
                 self.contextualizer,
-                self.L_train,
-                self.L_valid,
+                self._L_train,
+                self._L_valid,
                 self.lineage,
                 self.label_model_factory,
                 self.dataset.valid.y,
             )
         return self.contextualizer.refine(
-            self.L_train, self.lineage, "train", percentile=self.active_percentile_
+            self._L_train, self.lineage, "train", percentile=self.active_percentile_
         )
+
+    def _effective_label_matrix(self) -> np.ndarray:
+        """Dense view of :meth:`_effective_votes`."""
+        return self._effective_votes().values
 
     def _refit_selection_view(self, refined: bool) -> None:
         """Posterior over the *unrefined* votes, for selectors only.
@@ -833,9 +845,6 @@ class IncrementalSessionEngine:
     # ------------------------------------------------------------------ #
     def _entropy(self, soft_labels: np.ndarray) -> np.ndarray:
         return self.convention.posterior_entropy(soft_labels)
-
-    def _coverage_mask(self, L: np.ndarray) -> np.ndarray:
-        return self.convention.coverage_mask(L)
 
     # ------------------------------------------------------------------ #
     # on-demand proxy plumbing

@@ -41,15 +41,21 @@ class LineageStore:
     """Ordered collection of lineage records with distance caching.
 
     Distances from each development point to every example of a split are
-    computed once per (record, split, metric) and cached — the interactive
-    loop re-refines the full label matrix every iteration, so caching here
-    is what keeps the contextualized pipeline cheap.
+    computed once per (record, split, metric) and cached.  The store also
+    holds each contextualizer's refinement state (``refinements``: the
+    radii and the append-only refined vote matrices of
+    :meth:`~repro.core.contextualizer.LFContextualizer.refine`), so every
+    LF column is refined once per percentile and split, when its record
+    arrives, rather than on every refit.  Both caches live and die with the
+    store: a restored session builds a fresh one, and a session that
+    replaces its raw vote matrix drops the refined matrices.
     """
 
     def __init__(self, dataset: FeaturizedDataset) -> None:
         self.dataset = dataset
         self.records: list[LineageRecord] = []
         self._distance_cache: dict[tuple[str, str, int], np.ndarray] = {}
+        self.refinements: dict = {}
 
     def __len__(self) -> int:
         return len(self.records)
@@ -76,6 +82,17 @@ class LineageStore:
         """The label each LF assigns — the exemplar label for ImplyLoss."""
         return np.array([r.lf.label for r in self.records], dtype=int)
 
+    def distance_column(self, split: str, metric: str, j: int) -> np.ndarray:
+        """``(n_split,)`` distances from every split example to record ``j``'s dev point."""
+        dev_index = self.records[j].dev_index
+        key = (split, metric, dev_index)
+        column = self._distance_cache.get(key)
+        if column is None:
+            point = self.dataset.train.X[dev_index]
+            column = get_distance_fn(metric)(self.dataset.splits[split].X, point)
+            self._distance_cache[key] = column
+        return column
+
     def distances(self, split: str, metric: str = "cosine") -> np.ndarray:
         """``(n_split, m)`` distances from every split example to each dev point.
 
@@ -83,14 +100,7 @@ class LineageStore:
         """
         if not self.records:
             return np.zeros((self.dataset.splits[split].n, 0))
-        fn = get_distance_fn(metric)
-        X_split = self.dataset.splits[split].X
-        X_train = self.dataset.train.X
-        columns = []
-        for record in self.records:
-            key = (split, metric, record.dev_index)
-            if key not in self._distance_cache:
-                point = X_train[record.dev_index]
-                self._distance_cache[key] = fn(X_split, point)
-            columns.append(self._distance_cache[key])
-        return np.stack(columns, axis=1)
+        return np.stack(
+            [self.distance_column(split, metric, j) for j in range(len(self.records))],
+            axis=1,
+        )

@@ -569,11 +569,13 @@ class ColumnStats:
 def column_stats_from_dense(L: np.ndarray, abstain: int = ABSTAIN) -> ColumnStats:
     """A detached :class:`ColumnStats` built by scanning a dense matrix once.
 
-    The fallback for fits reached without an engine-threaded handle
-    (hand-built matrices, contextualizer-refined votes): one O(n·m) scan,
-    after which all EM iterations run on the O(nnz) path.  The structure
-    (ascending row order per column) is identical to what the live
-    :class:`VoteMatrix` maintains, so fits are bit-identical either way.
+    The fallback for fits reached without a handle (hand-built matrices):
+    one O(n·m) scan, after which all EM iterations run on the O(nnz)
+    path.  Engine sessions never reach it: raw and contextualizer-refined
+    votes both live in a :class:`VoteMatrix` whose handle is passed.  The
+    structure (ascending row order per column) is identical to what the
+    live :class:`VoteMatrix` maintains, so fits are bit-identical either
+    way.
     """
     return VoteMatrix.from_dense(L, abstain=abstain).stats
 

@@ -90,3 +90,53 @@ class TestBatchSession:
         session.run(2)
         iterations = {r.iteration for r in session.lineage.records}
         assert iterations <= {0, 1}
+
+
+class TestBatchObservability:
+    """A batched step reports one command record, like an atomic one."""
+
+    def test_observer_totals_sum_the_step_records(self, tiny_dataset):
+        from repro.obs import ENGINE_PHASES, EngineObserver
+
+        user = SimulatedUser(tiny_dataset, seed=0)
+        session = BatchDataProgrammingSession(
+            tiny_dataset, BatchRandomSelector(batch_size=3), user, seed=0
+        )
+        observer = EngineObserver()
+        session.observer = observer
+        records = []
+        for _ in range(4):
+            session.step()
+            records.append(session.last_command_obs)
+        assert [r["command"] for r in records] == ["submit"] * 4
+        assert [r["iteration"] for r in records] == [1, 2, 3, 4]
+
+        totals = observer.totals()
+        phases = {name: 0.0 for name in ENGINE_PHASES}
+        for record in records:
+            assert {"select", "develop", "label_model", "end_model"} <= set(record["phases"])
+            for name, seconds in record["phases"].items():
+                phases[name] += seconds
+        assert totals["phase_seconds"] == pytest.approx(phases, rel=1e-12, abs=0.0)
+        assert totals["phase_seconds"]["label_model"] > 0.0
+        assert totals["refits"] == session.refit_counts
+        assert sum(session.refit_counts.values()) == 4
+        assert totals["open_interval_seconds"] == pytest.approx(
+            sum(r["open_interval_seconds"] for r in records), rel=1e-12, abs=0.0
+        )
+        assert observer.commands.value("submit") == 4
+
+    def test_step_without_lfs_reports_a_decline(self, tiny_dataset):
+        class DecliningUser:
+            def create_lf(self, dev_index, state):
+                return None
+
+        session = BatchDataProgrammingSession(
+            tiny_dataset, BatchRandomSelector(batch_size=2), DecliningUser(), seed=0
+        )
+        session.step()
+        record = session.last_command_obs
+        assert record["command"] == "decline"
+        assert set(record["phases"]) == {"select"}
+        assert record["refit"] is None
+        assert session.refit_counts == {"warm": 0, "cold": 0}
