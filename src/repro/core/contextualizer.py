@@ -18,12 +18,11 @@ latter).
 
 from __future__ import annotations
 
-import inspect
-
 import numpy as np
 
 from repro.core.convention import BINARY, VoteConvention
 from repro.core.lineage import LineageStore
+from repro.labelmodel.base import accepts_stats
 from repro.labelmodel.matrix import VoteMatrix
 from repro.text.distance import DISTANCE_NAMES
 from repro.utils.validation import check_in_range
@@ -242,10 +241,10 @@ class PercentileTuner:
         ``L_train``/``L_valid`` are the raw votes.  A session passes its
         :class:`VoteMatrix` stores, so each candidate's refined matrices
         come from the lineage cache (shared with the engine's own refit)
-        and the label model fits on the refined matrix's stats handle; a
-        dense array is validated and wrapped first.  Validation
-        predictions use the dense posterior, like the session's soft
-        labels.
+        and the label model fits on the refined matrix's stats handle.  A
+        dense array is refined into a new dense array and caches nothing.
+        Validation predictions use the dense posterior, like the
+        session's soft labels.
 
         Ties resolve toward the *largest* percentile (least refinement):
         early in a session every candidate may score identically (e.g. F1
@@ -254,23 +253,21 @@ class PercentileTuner:
         """
         convention = contextualizer.convention
         metric_fn = convention.metric_fn(self.metric_name)
-        L_train, L_valid = (
-            L
-            if isinstance(L, VoteMatrix)
-            else VoteMatrix.from_dense(convention.validate_matrix(L), convention.abstain)
-            for L in (L_train, L_valid)
-        )
         best_p = max(self.grid)
         best_score = -np.inf
         for p in sorted(self.grid, reverse=True):
             refined_train = contextualizer.refine(L_train, lineage, "train", percentile=p)
             model = label_model_factory()
-            if "stats" in inspect.signature(model.fit).parameters:
+            if not isinstance(refined_train, VoteMatrix):
+                model.fit(refined_train)
+            elif accepts_stats(model):
                 model.fit(refined_train.values, stats=refined_train.stats)
             else:
                 model.fit(refined_train.values)
             refined_valid = contextualizer.refine(L_valid, lineage, "valid", percentile=p)
-            preds = convention.posterior_to_votes(model.predict_proba(refined_valid.values))
+            if isinstance(refined_valid, VoteMatrix):
+                refined_valid = refined_valid.values
+            preds = convention.posterior_to_votes(model.predict_proba(refined_valid))
             score = metric_fn(y_valid, preds)
             if score > best_score:
                 best_score = score

@@ -77,6 +77,10 @@ class VoteConvention(ABC):
         """Check that ``L`` holds only this convention's vote values; int8."""
         return vote_matrix.validate_label_matrix(L, self.abstain, self.labels)
 
+    def coverage_mask(self, L: np.ndarray) -> np.ndarray:
+        """Boolean ``(n,)`` mask of examples with ≥1 non-abstain vote."""
+        return vote_matrix.coverage_mask(L, self.abstain)
+
     def abstain_counts(self, L: np.ndarray) -> np.ndarray:
         """Per-example number of abstaining LFs."""
         return vote_matrix.abstain_counts(L, self.abstain)

@@ -66,6 +66,7 @@ from repro.core.convention import VoteConvention
 from repro.core.covered import CoveredFeatureBuffer
 from repro.core.lineage import LineageStore
 from repro.core.protocol import PendingInteraction, ProtocolError, SimulatedDriver
+from repro.labelmodel.base import accepts_stats
 from repro.labelmodel.matrix import VoteMatrix, column_nonzero_rows
 from repro.utils.rng import ensure_rng, stable_hash_seed
 
@@ -265,10 +266,10 @@ class IncrementalSessionEngine:
     def L_train(self, L: np.ndarray) -> None:
         self._L_train = VoteMatrix.from_dense(L, abstain=self.abstain_value)
         # A wholesale matrix replacement voids the append-only coverage
-        # history the buffer was built from, and the refined matrices grown
-        # from the old votes; both are rebuilt lazily.
+        # history the buffer was built from; it is rebuilt lazily.  The
+        # refined matrices need no reset: they are tied to the raw matrix
+        # object, so a new one is refined afresh.
         self._covered_buf = None
-        self.lineage.refinements.clear()
 
     @property
     def L_valid(self) -> np.ndarray:
@@ -278,7 +279,6 @@ class IncrementalSessionEngine:
     @L_valid.setter
     def L_valid(self, L: np.ndarray) -> None:
         self._L_valid = VoteMatrix.from_dense(L, abstain=self.abstain_value)
-        self.lineage.refinements.clear()
 
     def _stage_votes(self, lf) -> tuple[np.ndarray, np.ndarray]:
         """Validate one LF's train/valid vote columns; mutate nothing.
@@ -579,11 +579,7 @@ class IncrementalSessionEngine:
 
     def _label_model_accepts_stats(self, model) -> bool:
         if self._lm_accepts_stats is None:
-            params_ok = all(
-                "stats" in inspect.signature(fn).parameters
-                for fn in (model.fit, model.fit_warm, model.predict_proba)
-            )
-            self._lm_accepts_stats = params_ok
+            self._lm_accepts_stats = accepts_stats(model)
         return self._lm_accepts_stats
 
     def _fit_label_model(self, L: np.ndarray, previous, stats=None):

@@ -47,8 +47,9 @@ class LineageStore:
     :meth:`~repro.core.contextualizer.LFContextualizer.refine`), so every
     LF column is refined once per percentile and split, when its record
     arrives, rather than on every refit.  Both caches live and die with the
-    store: a restored session builds a fresh one, and a session that
-    replaces its raw vote matrix drops the refined matrices.
+    store, and a restored session builds a fresh one.  A refined matrix is
+    tied to the raw vote matrix it was grown from, so a session that
+    replaces its raw matrix gets that split refined afresh.
     """
 
     def __init__(self, dataset: FeaturizedDataset) -> None:

@@ -8,6 +8,7 @@ of :mod:`repro.multiclass`.  Both share :class:`BaseLabelModel`.
 
 from __future__ import annotations
 
+import inspect
 from abc import ABC, abstractmethod
 
 import numpy as np
@@ -86,6 +87,19 @@ class BaseLabelModel(FittedStateMixin, ABC):
                 f"{np.asarray(L).shape})"
             )
         return L
+
+
+def accepts_stats(model) -> bool:
+    """Whether ``model``'s ``fit``, ``fit_warm`` and ``predict_proba`` take ``stats=``.
+
+    Such a model can be handed a vote matrix's sufficient-statistics
+    handle (:class:`~repro.labelmodel.matrix.ColumnStats`) instead of
+    rescanning the dense votes.
+    """
+    return all(
+        "stats" in inspect.signature(getattr(model, name)).parameters
+        for name in ("fit", "fit_warm", "predict_proba")
+    )
 
 
 class LabelModel(BaseLabelModel):

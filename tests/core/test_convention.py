@@ -31,6 +31,7 @@ class TestBinaryConvention:
         L = np.array([[1, -1, 0], [1, 1, 1], [0, 0, 0]])
         np.testing.assert_array_equal(BINARY.abstain_counts(L), [1, 0, 3])
         np.testing.assert_array_equal(BINARY.conflict_counts(L), [1, 0, 0])
+        np.testing.assert_array_equal(BINARY.coverage_mask(L), [True, True, False])
 
     def test_posterior_helpers(self):
         proba = np.array([0.9, 0.5, 0.1])
@@ -98,6 +99,7 @@ class TestMulticlassConvention:
         L = np.array([[0, 1, 2], [-1, -1, 1], [2, 2, 2]])
         np.testing.assert_array_equal(conv.abstain_counts(L), [0, 2, 0])
         np.testing.assert_array_equal(conv.conflict_counts(L), [3, 0, 0])
+        np.testing.assert_array_equal(conv.coverage_mask(L), [True, True, True])
 
     def test_posterior_helpers(self):
         conv = MulticlassVoteConvention(3)
@@ -151,6 +153,7 @@ class TestSharedDiagnostics:
     @pytest.mark.parametrize(
         "method, arg",
         [
+            ("coverage_mask", "abstain"),
             ("abstain_counts", "abstain"),
             ("conflict_counts", "labels"),
             ("validate_matrix", None),

@@ -222,15 +222,16 @@ class TestSessionsUseTheIncrementalMatrices:
     def test_replaced_raw_matrix(self, tiny_dataset):
         session = nemo_session(tiny_dataset)
         session.run(8)
+        ctx, p = session.contextualizer, session.active_percentile_
         before = session._effective_votes()
+        valid = ctx.refine(session._L_valid, session.lineage, "valid", percentile=p)
         altered = session.L_train.copy()
         altered[:, 0] = 0
         session.L_train = altered
-        assert not session.lineage.refinements
-        after = session.contextualizer.refine(
-            session._L_train, session.lineage, "train", percentile=session.active_percentile_
-        )
+        after = ctx.refine(session._L_train, session.lineage, "train", percentile=p)
         assert after is not before
+        # The valid votes were not replaced, so their cached matrix stays.
+        assert ctx.refine(session._L_valid, session.lineage, "valid", percentile=p) is valid
         assert_same_matrix(
             after,
             session.contextualizer.refine(
@@ -258,6 +259,26 @@ class TestSessionsUseTheIncrementalMatrices:
         assert_same_matrix(
             restored._effective_votes(), uninterrupted._effective_label_matrix()
         )
+
+
+class TestTunerInputs:
+    def test_dense_votes_leave_the_session_cache_in_place(self, tiny_dataset):
+        session = nemo_session(tiny_dataset)
+        session.run(6)
+        ctx, lineage, tuner = session.contextualizer, session.lineage, session.percentile_tuner
+        raw = session_raw(session)
+        cached = {
+            (split, p): ctx.refine(votes, lineage, split, percentile=p)
+            for split, votes in raw.items()
+            for p in tuner.grid
+        }
+        keys = set(lineage.refinements)
+        args = (lineage, session.label_model_factory, tiny_dataset.valid.y)
+        dense_p = tuner.best_percentile(ctx, session.L_train, session.L_valid, *args)
+        assert set(lineage.refinements) == keys
+        for (split, p), matrix in cached.items():
+            assert ctx.refine(raw[split], lineage, split, percentile=p) is matrix
+        assert dense_p == tuner.best_percentile(ctx, raw["train"], raw["valid"], *args)
 
 
 class TestRefinedFitsUseTheHandle:
