@@ -23,6 +23,7 @@ ADAPTER_MODULES = (
     "src/repro/multiclass/contextualizer.py",
     "src/repro/multiclass/matrix.py",
     "src/repro/multiclass/selection.py",
+    "src/repro/multiclass/session.py",
     "src/repro/multiclass/seu.py",
     "src/repro/multiclass/simulated_user.py",
     "src/repro/multiclass/user_model.py",

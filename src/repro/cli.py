@@ -429,7 +429,6 @@ def cmd_run(args: argparse.Namespace) -> int:
 def _record_transcript(args: argparse.Namespace, dataset) -> None:
     from repro.core.session import DataProgrammingSession
     from repro.io import save_transcript, transcript_from_session
-    from repro.multiclass.session import MultiClassSession
     from repro.utils.rng import stable_hash_seed
 
     seed = stable_hash_seed(args.method, dataset.name, 0, args.seed)
@@ -441,7 +440,7 @@ def _record_transcript(args: argparse.Namespace, dataset) -> None:
         from repro.experiments import make_method
 
         method = make_method(args.method, user_threshold=args.threshold)(dataset, seed)
-    if not isinstance(method, (DataProgrammingSession, MultiClassSession)):
+    if not isinstance(method, DataProgrammingSession):
         print(
             f"cannot record {args.method!r}: only LF-producing sessions have "
             f"transcripts (active-learning baselines do not)",

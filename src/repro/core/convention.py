@@ -13,13 +13,17 @@ the binary and the K-class pipelines is a small bundle of conventions:
 * the **accuracy bookkeeping** — how per-(primitive, label) accuracy
   tables are estimated from ground truth or from a soft proxy;
 * the **default learners** — MeTaL + logistic regression vs Dawid–Skene +
-  softmax regression.
+  softmax regression;
+* the **session bundle** — the LF family, the prior-filled posterior a
+  session starts from (and falls back to before any end model exists),
+  and the test metric.
 
 :class:`VoteConvention` formalizes that bundle.  Every interaction-layer
 component (contextualizer, simulated users, user models, utilities, the
-basic selectors, SEU, and the session engine) is written once against this
-contract; ``repro.multiclass`` merely binds :class:`MulticlassVoteConvention`
-where the binary package binds :data:`BINARY`.
+basic selectors, SEU, and the one session class
+:class:`~repro.core.session.DataProgrammingSession`) is written once
+against this contract and reads its convention from the dataset
+(:func:`convention_for`).
 
 Canonical label order
 ---------------------
@@ -172,6 +176,22 @@ class VoteConvention(ABC):
     def default_end_model(self, dataset):
         """A fresh instance of the convention's default end model."""
 
+    # ------------------------------------------------------------------ #
+    # session bundle
+    # ------------------------------------------------------------------ #
+    @abstractmethod
+    def lf_family(self, dataset):
+        """The primitive-LF family over the dataset's train split."""
+
+    @abstractmethod
+    def prior_posterior(self, dataset, n: int) -> np.ndarray:
+        """A fresh ``n``-row posterior filled with the class prior.
+
+        What a session's soft labels and proxy hold before the first refit,
+        and what its test predictions fall back to before any end model
+        exists (hard labels through :meth:`posterior_to_votes`).
+        """
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}(abstain={self.abstain}, K={self.n_classes})"
 
@@ -254,6 +274,14 @@ class BinaryVoteConvention(VoteConvention):
         from repro.endmodel.logistic import SoftLabelLogisticRegression
 
         return SoftLabelLogisticRegression()
+
+    def lf_family(self, dataset):
+        from repro.core.lf import LFFamily
+
+        return LFFamily(dataset.primitive_names, dataset.train.B)
+
+    def prior_posterior(self, dataset, n: int) -> np.ndarray:
+        return np.full(n, dataset.label_prior)
 
 
 class MulticlassVoteConvention(VoteConvention):
@@ -340,6 +368,14 @@ class MulticlassVoteConvention(VoteConvention):
         from repro.endmodel.softmax import SoftLabelSoftmaxRegression
 
         return SoftLabelSoftmaxRegression(n_classes=self.n_classes)
+
+    def lf_family(self, dataset):
+        from repro.multiclass.lf import MultiClassLFFamily
+
+        return MultiClassLFFamily(dataset.primitive_names, dataset.train.B, self.n_classes)
+
+    def prior_posterior(self, dataset, n: int) -> np.ndarray:
+        return np.tile(dataset.class_priors, (n, 1))
 
 
 #: The shared binary convention instance (stateless).

@@ -1,12 +1,12 @@
-"""The shared incremental IDP session engine.
+"""The incremental IDP session engine.
 
-Both the binary (:class:`repro.core.session.DataProgrammingSession`) and the
-multiclass (:class:`repro.multiclass.session.MultiClassSession`) pipelines
-drive the same atomic loop (paper Fig. 4): select one development example,
-obtain one LF from the user, optionally contextualize, then refit the label
-model and the end model.  Historically the two implementations were
-line-for-line mirrors; this module hosts the single engine both now extend,
-parameterized by cardinality through a handful of hooks.
+:class:`IncrementalSessionEngine` is the loop half of
+:class:`repro.core.session.DataProgrammingSession`, the one session class
+for every vote alphabet: select one development example, obtain one LF
+from the user, optionally contextualize, then refit the label model and
+the end model (paper Fig. 4).  What differs between label spaces is read
+from the session's :class:`~repro.core.convention.VoteConvention`, so no
+step of the loop branches on cardinality.
 
 The engine is *incremental* along these axes (see ENGINE.md for the
 contract):
@@ -66,6 +66,7 @@ from repro.core.convention import VoteConvention
 from repro.core.covered import CoveredFeatureBuffer
 from repro.core.lineage import LineageStore
 from repro.core.protocol import PendingInteraction, ProtocolError, SimulatedDriver
+from repro.core.selection import SessionState
 from repro.labelmodel.base import accepts_stats
 from repro.labelmodel.matrix import VoteMatrix, column_nonzero_rows
 from repro.utils.rng import ensure_rng, stable_hash_seed
@@ -90,22 +91,19 @@ WARM_LABEL_ITER = 3
 WARM_END_ITER = 15
 
 
+#: Engine class names written by earlier builds, mapped to the class that
+#: now restores them: the K-class session was a separate class until it
+#: merged into ``DataProgrammingSession``.
+_ENGINE_CLASS_ALIASES = {"MultiClassSession": "DataProgrammingSession"}
+
+
 class IncrementalSessionEngine:
     """Cardinality-agnostic select → develop → contextualize → learn loop.
 
-    Subclasses bind the label-space specifics through a
-    :class:`~repro.core.convention.VoteConvention` (``self.convention``,
-    set before :meth:`_init_engine`): the abstain sentinel and posterior
-    entropy default to the convention's implementations.  Two hooks
-    remain genuinely per-session:
-
-    * :meth:`_refresh_proxy` — recompute the ground-truth proxy from the
-      current end model (its shape differs);
-    * :meth:`build_state` — the selector/user-facing state snapshot.
-
-    Subclasses are expected to set ``dataset``, ``rng``, ``family``,
-    ``soft_labels``, ``entropies`` and their proxy fields before calling
-    :meth:`_init_engine`.
+    Mixed into :class:`~repro.core.session.DataProgrammingSession`, whose
+    constructor sets the dataset, the RNG, the vote convention
+    (``self.convention``), the LF family and the prior-filled posterior
+    fields before :meth:`_init_engine` binds the IDP components.
 
     Each command is timed once, into its own record
     (``last_command_obs``): the compute seconds of every phase it ran
@@ -119,14 +117,8 @@ class IncrementalSessionEngine:
     the same session differ.
     """
 
-    #: The session's vote convention; subclasses MUST assign one (class or
-    #: instance attribute) before calling _init_engine — fail-closed so a
-    #: new label-space session cannot silently run with wrong semantics.
-    convention: VoteConvention | None = None
-
-    #: Abstain sentinel of the vote convention (kept as a mirror of
-    #: ``convention.abstain`` for backward compatibility).
-    abstain_value: int = 0
+    #: The session's vote convention (``convention_for(dataset)``).
+    convention: VoteConvention
 
     # ------------------------------------------------------------------ #
     # construction
@@ -146,7 +138,8 @@ class IncrementalSessionEngine:
     ) -> None:
         """Bind the IDP components and the refit schedule.
 
-        The component arguments are documented on the session classes.
+        The component arguments are documented on
+        :class:`~repro.core.session.DataProgrammingSession`.
         The schedule (ENGINE.md §2) decides, per refit, whether the label
         model is fitted cold or warm-started (``fit_warm`` capped at
         :data:`WARM_LABEL_ITER` EM iterations) and whether the end model
@@ -185,11 +178,6 @@ class IncrementalSessionEngine:
                 raise ValueError(f"{name} must be an int, got {value!r}")
             if value < floor:
                 raise ValueError(f"{name} must be >= {floor}, got {value}")
-        if not isinstance(self.convention, VoteConvention):
-            raise TypeError(
-                "session must assign a VoteConvention to self.convention "
-                "before calling _init_engine"
-            )
         self.selector = selector
         self.user = user
         self.label_model_factory = label_model_factory
@@ -634,7 +622,7 @@ class IncrementalSessionEngine:
         self.soft_labels = self._predict_label_model(
             model, votes.values, None if refined else votes.stats
         )
-        self.entropies = self._entropy(self.soft_labels)
+        self.entropies = self.convention.posterior_entropy(self.soft_labels)
         self._refit_selection_view(refined)
         t1 = time.perf_counter()
         covered = votes.coverage_mask()
@@ -827,7 +815,9 @@ class IncrementalSessionEngine:
         self.selection_soft_labels = self._predict_label_model(
             raw_model, self.L_train, stats
         )
-        self.selection_entropies = self._entropy(self.selection_soft_labels)
+        self.selection_entropies = self.convention.posterior_entropy(
+            self.selection_soft_labels
+        )
 
     def _should_tune(self) -> bool:
         # The refinement radius matters most in the low-LF regime (each vote
@@ -837,14 +827,33 @@ class IncrementalSessionEngine:
         return m >= 1 and (m <= 6 or m % self.tune_every == 0)
 
     # ------------------------------------------------------------------ #
-    # cardinality hooks (defaults read the vote convention)
+    # selector-facing state and the on-demand proxy
     # ------------------------------------------------------------------ #
-    def _entropy(self, soft_labels: np.ndarray) -> np.ndarray:
-        return self.convention.posterior_entropy(soft_labels)
+    def build_state(self) -> SessionState:
+        """Snapshot the session for selectors and the user."""
+        return SessionState(
+            dataset=self.dataset,
+            family=self.family,
+            iteration=self.iteration,
+            lfs=self.lfs,
+            L_train=self.L_train,
+            soft_labels=(
+                self.selection_soft_labels
+                if self.selection_soft_labels is not None
+                else self.soft_labels
+            ),
+            entropies=(
+                self.selection_entropies
+                if self.selection_entropies is not None
+                else self.entropies
+            ),
+            proxy_proba=self.proxy_proba,
+            selected=self.selected,
+            rng=self.rng,
+            cache=self._selector_cache,
+            proxy_provider=self._resolve_proxy,
+        )
 
-    # ------------------------------------------------------------------ #
-    # on-demand proxy plumbing
-    # ------------------------------------------------------------------ #
     def _update_proxy(self) -> None:
         """Refresh the proxy after an end-model refit, or defer it.
 
@@ -881,18 +890,16 @@ class IncrementalSessionEngine:
         return self.proxy_proba
 
     def _refresh_proxy(self) -> None:
-        """Recompute the proxy from the current end model (session hook)."""
-        raise NotImplementedError
-
-    def build_state(self):
-        raise NotImplementedError
+        """Recompute the proxy from the current end model."""
+        self.proxy_proba = self.end_model.predict_proba(self.dataset.train.X)
+        self._proxy_stale = False
 
     # ------------------------------------------------------------------ #
     # durable snapshot / restore (ENGINE.md §5)
     # ------------------------------------------------------------------ #
     #: Array-valued session fields captured by state_dict (``None`` values
-    #: are recorded as absent).  Subclasses extend this with their
-    #: cardinality-specific proxy fields.
+    #: are recorded as absent).  Arrays an earlier build also wrote (the
+    #: binary ``proxy_labels``) are ignored on restore.
     _CHECKPOINT_ARRAY_FIELDS: tuple[str, ...] = (
         "soft_labels",
         "entropies",
@@ -1000,17 +1007,22 @@ class IncrementalSessionEngine:
         are fail-closed: engine class, dataset name, split sizes, abstain
         sentinel, and every LF's primitive token → column mapping must
         match, otherwise the restore raises instead of continuing a
-        session that would silently diverge.  After a successful restore,
-        :meth:`step` continues exactly as the snapshotted session would
-        have (see the checkpoint round-trip tests).  Fields written by
+        session that would silently diverge.  Binary and K-class sessions
+        share one class, so the abstain sentinel is what tells their
+        snapshots apart; the K-class session's earlier class name
+        (``MultiClassSession``) is accepted as ``DataProgrammingSession``.
+        After a successful restore, :meth:`step` continues exactly as the
+        snapshotted session would have (see the checkpoint round-trip
+        tests).  Fields written by
         earlier builds and no longer read (``label_anchor``,
         ``backstops_skipped``, ``phase_timings``) are ignored.
         """
         if not isinstance(state, dict) or state.get("kind") != "session-engine":
             raise ValueError("not a session-engine state dict")
-        if state.get("engine_class") != type(self).__name__:
+        engine_class = state.get("engine_class")
+        if _ENGINE_CLASS_ALIASES.get(engine_class, engine_class) != type(self).__name__:
             raise ValueError(
-                f"checkpoint was captured from {state.get('engine_class')!r} but is "
+                f"checkpoint was captured from {engine_class!r} but is "
                 f"being loaded into {type(self).__name__!r}"
             )
         if state.get("dataset_name") != self.dataset.name:

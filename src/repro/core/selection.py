@@ -6,10 +6,11 @@ and returns the index of the next development example.  This is the
 "Development Data Selection Stage" of the IDP loop (paper Sec. 3).
 
 The state and the selectors are cardinality-generic: all label-space
-specifics (abstain sentinel, conflict counting, entropy) are read from the
-state's :class:`~repro.core.convention.VoteConvention`.  The binary
-:class:`SessionState` and the K-class :class:`MulticlassSessionState` are
-thin shape adapters over the shared :class:`BaseSessionState`;
+specifics (abstain sentinel, conflict counting, entropy, the hard-label
+view of the proxy) are read from the state's
+:class:`~repro.core.convention.VoteConvention`, which the dataset fixes.
+One :class:`SessionState` serves every alphabet (``BaseSessionState`` and
+``MulticlassSessionState`` are its historical names);
 ``repro.interactive.basic_selectors`` and ``repro.multiclass.selection``
 re-export the selector classes under their historical names.
 """
@@ -22,21 +23,22 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from repro.core.convention import BINARY, VoteConvention, multiclass_convention
+from repro.core.convention import BINARY, VoteConvention, convention_for
 from repro.core.lf import LFFamily, PrimitiveLF
 from repro.data.dataset import FeaturizedDataset
 from repro.utils.rng import ensure_rng
 
 
 @dataclass
-class BaseSessionState:
+class SessionState:
     """Cardinality-generic snapshot of an IDP session at selection time.
 
     Attributes
     ----------
     dataset:
         The featurized dataset (selectors may read features/primitives but
-        never ground-truth train labels).
+        never ground-truth train labels); its label space fixes the
+        state's :attr:`convention`.
     family:
         The primitive-LF family over the train split.
     iteration:
@@ -52,11 +54,18 @@ class BaseSessionState:
         ``(n, K)`` for multiclass.
     entropies:
         ``(n_train,)`` posterior entropies (ψ_uncertainty of Eq. 3).
-
-    Subclasses add the proxy fields (whose shape is the one genuinely
-    cardinality-specific part of the snapshot) plus ``selected`` /
-    ``rng`` / ``cache``:
-
+    proxy_labels:
+        ``(n_train,)`` hard end-model predictions ŷ in the vote alphabet
+        (the ground-truth proxy of Sec. 4.2); derived from ``proxy_proba``
+        when not given.
+    proxy_proba:
+        End-model probabilities — ``(n_train,)`` ``P(y=+1|x)`` for binary,
+        ``(n_train, K)`` for multiclass — the *graded* ground-truth proxy
+        SEU consumes.  Hard predictions collapse to a single class early in
+        the loop (one-sided LF sets), zeroing an entire branch of the user
+        model and locking SEU onto one polarity; probabilities preserve the
+        ranking signal (see DESIGN.md).  A binary state built from ±1
+        ``proxy_labels`` alone derives it from them.
     selected:
         Train indices already shown to the user (selectors avoid repeats).
     rng:
@@ -67,6 +76,9 @@ class BaseSessionState:
         aggregates (SEU's ``B.T @ proxy``, utility tables, the expected
         utility vector) in it.  ``None`` (the default for hand-built
         states) disables caching entirely.
+    proxy_provider:
+        Optional callable materializing deferred proxy predictions (set by
+        sessions running with on-demand proxy; see :meth:`resolve_proxy`).
     """
 
     dataset: FeaturizedDataset
@@ -76,10 +88,34 @@ class BaseSessionState:
     L_train: np.ndarray
     soft_labels: np.ndarray
     entropies: np.ndarray
+    proxy_labels: np.ndarray = None
+    proxy_proba: np.ndarray = None
+    selected: set[int] = field(default_factory=set)
+    # Sessions always thread their own stream; the hand-built-state
+    # default is a *deterministic* seed-0 stream, not OS entropy, so a
+    # state built without an rng still replays bit-identically.
+    rng: np.random.Generator = field(default_factory=lambda: ensure_rng(0))
+    cache: dict | None = None
+    proxy_provider: object = None
+
+    def __post_init__(self) -> None:
+        if self.proxy_proba is None:
+            if self.proxy_labels is None or self.convention is not BINARY:
+                raise TypeError(
+                    "SessionState requires proxy_proba (binary states may give "
+                    "proxy_labels instead)"
+                )
+            self.proxy_proba = (np.asarray(self.proxy_labels, dtype=float) + 1.0) / 2.0
+        elif self.proxy_labels is None:
+            self.proxy_labels = self.convention.posterior_to_votes(self.proxy_proba)
 
     @property
     def convention(self) -> VoteConvention:
-        raise NotImplementedError
+        return convention_for(self.dataset)
+
+    @property
+    def n_classes(self) -> int:
+        return self.convention.n_classes
 
     @property
     def B(self) -> sp.csr_matrix:
@@ -111,105 +147,28 @@ class BaseSessionState:
         attach a ``proxy_provider`` that performs any deferred end-model
         refresh before handing the array out; the result is memoized in
         the refit-scoped ``cache`` so repeat reads between refits are
-        dict lookups.  Hand-built states (no provider) fall back to the
-        plain ``proxy_proba`` array — the full-split proxy they were
-        constructed with.
+        dict lookups, and the ``proxy_proba``/``proxy_labels`` fields are
+        kept consistent with it.  Hand-built states (no provider) fall
+        back to the plain ``proxy_proba`` array — the full-split proxy
+        they were constructed with.
         """
-        provider = getattr(self, "proxy_provider", None)
-        if provider is None:
+        if self.proxy_provider is None:
             return self.proxy_proba
-        cache = getattr(self, "cache", None)
-        if cache is not None and "proxy_resolved" in cache:
-            return cache["proxy_resolved"]
-        proxy = provider()
-        self.proxy_proba = proxy  # keep direct field reads consistent
-        if cache is not None:
-            cache["proxy_resolved"] = proxy
+        if self.cache is not None and "proxy_resolved" in self.cache:
+            proxy = self.cache["proxy_resolved"]
+        else:
+            proxy = self.proxy_provider()
+            if self.cache is not None:
+                self.cache["proxy_resolved"] = proxy
+        if proxy is not self.proxy_proba:
+            self.proxy_proba = proxy
+            self.proxy_labels = self.convention.posterior_to_votes(proxy)
         return proxy
 
 
-@dataclass
-class SessionState(BaseSessionState):
-    """Binary session snapshot (votes ±1, ``0`` abstains).
-
-    Adds the binary proxy pair to :class:`BaseSessionState`:
-
-    proxy_labels:
-        ``(n_train,)`` ±1 end-model predictions ŷ (the ground-truth proxy of
-        Sec. 4.2); prior-sampled before the first model exists.
-    proxy_proba:
-        ``(n_train,)`` end-model probabilities ``P(y=+1|x)`` — the *graded*
-        ground-truth proxy SEU consumes.  Hard predictions collapse to a
-        single class early in the loop (one-sided LF sets), zeroing an
-        entire branch of the user model and locking SEU onto one polarity;
-        probabilities preserve the ranking signal (see DESIGN.md).
-    """
-
-    proxy_labels: np.ndarray = None
-    proxy_proba: np.ndarray = None
-    selected: set[int] = field(default_factory=set)
-    # Sessions always thread their own stream; the hand-built-state
-    # default is a *deterministic* seed-0 stream, not OS entropy, so a
-    # state built without an rng still replays bit-identically.
-    rng: np.random.Generator = field(default_factory=lambda: ensure_rng(0))
-    cache: dict | None = None
-    #: Optional callable materializing deferred proxy predictions (set by
-    #: sessions running with on-demand proxy; see resolve_proxy).
-    proxy_provider: object = None
-
-    def __post_init__(self) -> None:
-        if self.proxy_proba is None:
-            if self.proxy_labels is None:
-                raise TypeError(
-                    "SessionState requires proxy_labels and/or proxy_proba"
-                )
-            self.proxy_proba = (np.asarray(self.proxy_labels, dtype=float) + 1.0) / 2.0
-
-    def resolve_proxy(self) -> np.ndarray:
-        proxy = super().resolve_proxy()
-        if self.proxy_provider is not None:
-            # Keep the hard-label field consistent with the materialized
-            # proxy (the multiclass state derives its labels by property).
-            self.proxy_labels = np.where(np.asarray(proxy) >= 0.5, 1, -1)
-        return proxy
-
-    @property
-    def convention(self) -> VoteConvention:
-        return BINARY
-
-
-@dataclass
-class MulticlassSessionState(BaseSessionState):
-    """K-class session snapshot (votes ``0..K-1``, ``-1`` abstains).
-
-    ``soft_labels`` and ``proxy_proba`` are ``(n, K)`` row-stochastic
-    matrices; the hard ``proxy_labels`` view is derived by argmax.
-    """
-
-    proxy_proba: np.ndarray = None
-    selected: set[int] = field(default_factory=set)
-    # Deterministic hand-built-state default; see SessionState.rng.
-    rng: np.random.Generator = field(default_factory=lambda: ensure_rng(0))
-    cache: dict | None = None
-    #: See SessionState.proxy_provider / BaseSessionState.resolve_proxy.
-    proxy_provider: object = None
-
-    def __post_init__(self) -> None:
-        if self.proxy_proba is None:
-            raise TypeError("MulticlassSessionState requires proxy_proba")
-
-    @property
-    def convention(self) -> VoteConvention:
-        return multiclass_convention(self.family.n_classes)
-
-    @property
-    def n_classes(self) -> int:
-        return self.family.n_classes
-
-    @property
-    def proxy_labels(self) -> np.ndarray:
-        """Hard class predictions derived from the graded proxy."""
-        return np.argmax(self.proxy_proba, axis=1).astype(int)
+#: Historical names of :class:`SessionState`: the cardinality-generic base
+#: and the K-class snapshot it once had beside the binary one.
+BaseSessionState = MulticlassSessionState = SessionState
 
 
 class DevDataSelector(ABC):
@@ -218,7 +177,7 @@ class DevDataSelector(ABC):
     name: str = "abstract"
 
     @abstractmethod
-    def select(self, state: BaseSessionState) -> int | None:
+    def select(self, state: SessionState) -> int | None:
         """Return the chosen train index, or ``None`` if nothing is eligible."""
 
     @staticmethod
@@ -245,7 +204,7 @@ class RandomSelector(DevDataSelector):
 
     name = "random"
 
-    def select(self, state: BaseSessionState) -> int | None:
+    def select(self, state: SessionState) -> int | None:
         mask = state.candidate_mask()
         if not mask.any():
             return None
@@ -258,7 +217,7 @@ class AbstainSelector(DevDataSelector):
 
     name = "abstain"
 
-    def select(self, state: BaseSessionState) -> int | None:
+    def select(self, state: SessionState) -> int | None:
         mask = state.candidate_mask()
         if state.L_train.shape[1] == 0:
             # No LFs yet: every example ties at zero votes; fall back to random.
@@ -272,7 +231,7 @@ class DisagreeSelector(DevDataSelector):
 
     name = "disagree"
 
-    def select(self, state: BaseSessionState) -> int | None:
+    def select(self, state: SessionState) -> int | None:
         mask = state.candidate_mask()
         if state.L_train.shape[1] == 0:
             return RandomSelector().select(state)
@@ -293,7 +252,7 @@ class UncertaintySelector(DevDataSelector):
 
     name = "uncertainty"
 
-    def select(self, state: BaseSessionState) -> int | None:
+    def select(self, state: SessionState) -> int | None:
         mask = state.candidate_mask()
         if state.L_train.shape[1] == 0:
             return RandomSelector().select(state)

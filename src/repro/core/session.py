@@ -4,8 +4,9 @@
 development example, obtain one LF from the (simulated) user, optionally
 contextualize the collected LFs, then refit the label model and end model.
 Every paper method that supplies LFs — Snorkel, Snorkel-Abs/Dis, SEU-only,
-contextualized-only, and full Nemo — is an instantiation of this class with
-different components plugged in; the active-learning and IWS baselines
+contextualized-only, and full Nemo, binary or K-class — is an instantiation
+of this class with different components plugged in; the vote alphabet is
+read from the dataset.  The active-learning and IWS baselines
 implement the same :class:`InteractiveMethod` interface in
 :mod:`repro.interactive`.
 
@@ -25,14 +26,13 @@ from collections.abc import Callable
 import numpy as np
 
 from repro.core.contextualizer import LFContextualizer, PercentileTuner
-from repro.core.convention import BINARY
+from repro.core.convention import BINARY, convention_for
 from repro.core.engine import IncrementalSessionEngine
-from repro.core.lf import LFFamily, PrimitiveLF
+from repro.core.lf import PrimitiveLF
 from repro.core.selection import DevDataSelector, SessionState
 from repro.data.dataset import FeaturizedDataset
 from repro.endmodel.logistic import SoftLabelLogisticRegression
-from repro.endmodel.metrics import get_metric
-from repro.labelmodel.base import LabelModel, posterior_entropy
+from repro.labelmodel.base import LabelModel
 from repro.utils.rng import ensure_rng
 
 
@@ -40,13 +40,16 @@ class InteractiveMethod(ABC):
     """One interactive learning scheme, driven one interaction at a time.
 
     The experiment protocol (Sec. 5.1) calls :meth:`step` once per
-    iteration and :meth:`test_score` at evaluation points.
+    iteration and :meth:`test_score` at evaluation points.  The dataset's
+    label space fixes the method's :class:`~repro.core.convention.VoteConvention`,
+    which supplies the test metric and the prior fallback predictions.
     """
 
     def __init__(self, dataset: FeaturizedDataset, seed=None) -> None:
         self.dataset = dataset
+        self.convention = convention_for(dataset)
         self.rng = ensure_rng(seed)
-        self._metric_fn = get_metric(dataset.metric)
+        self._metric_fn = self.convention.metric_fn(dataset.metric)
 
     @abstractmethod
     def step(self) -> None:
@@ -54,7 +57,7 @@ class InteractiveMethod(ABC):
 
     @abstractmethod
     def predict_test(self) -> np.ndarray:
-        """±1 predictions of the current end model on the test split."""
+        """Hard predictions of the current end model on the test split."""
 
     def test_score(self) -> float:
         """The dataset's metric (accuracy or F1) on the test split."""
@@ -62,8 +65,9 @@ class InteractiveMethod(ABC):
 
     def _prior_predictions(self, n: int) -> np.ndarray:
         """Fallback predictions before any model exists: the prior class."""
-        majority = 1 if self.dataset.label_prior >= 0.5 else -1
-        return np.full(n, majority, dtype=int)
+        return self.convention.posterior_to_votes(
+            self.convention.prior_posterior(self.dataset, n)
+        )
 
 
 class LFDeveloper(ABC):
@@ -87,17 +91,20 @@ class LFDeveloper(ABC):
 class DataProgrammingSession(IncrementalSessionEngine, InteractiveMethod):
     """The end-to-end DP pipeline with pluggable IDP components.
 
-    The select → develop → contextualize → learn loop itself lives in
-    :class:`~repro.core.engine.IncrementalSessionEngine` (shared with the
-    multiclass session); this class binds the binary
-    :class:`~repro.core.convention.VoteConvention` — which carries the ±1
-    vote alphabet, the MeTaL default aggregator, and the logistic end
-    model — and supplies the ``proxy_labels`` plumbing.
+    The one session class for every vote alphabet: the select → develop →
+    contextualize → learn loop lives in
+    :class:`~repro.core.engine.IncrementalSessionEngine`, and everything
+    that differs between label spaces — the LF family, the prior-filled
+    posterior, the default aggregator (MeTaL / Dawid–Skene) and end model
+    (logistic / softmax), the hard-label view and the test metric — comes
+    from the :class:`~repro.core.convention.VoteConvention` the dataset
+    calls for (:func:`~repro.core.convention.convention_for`).
 
     Parameters
     ----------
     dataset:
-        Featurized dataset.
+        Featurized dataset, binary or K-class
+        (:class:`~repro.multiclass.data.MCFeaturizedDataset`).
     selector:
         Development-data selection strategy (Random/Abstain/Disagree/SEU).
     user:
@@ -105,11 +112,12 @@ class DataProgrammingSession(IncrementalSessionEngine, InteractiveMethod):
     label_model_factory:
         Zero-argument callable returning a fresh
         :class:`~repro.labelmodel.base.LabelModel`; defaults to the
-        MeTaL-style model with the dataset's class prior (the paper's
-        default aggregator).
+        convention's aggregator with the dataset's class prior (MeTaL, the
+        paper's default, for binary data).
     end_model:
-        Soft-label classifier; defaults to logistic regression (the paper
-        fixes logistic regression for all methods).
+        Soft-label classifier; defaults to the convention's end model
+        (logistic regression, which the paper fixes for all methods, or
+        its softmax generalization).
     contextualizer:
         Optional :class:`~repro.core.contextualizer.LFContextualizer`;
         ``None`` gives the *standard* (uncontextualized) learning pipeline.
@@ -128,14 +136,6 @@ class DataProgrammingSession(IncrementalSessionEngine, InteractiveMethod):
         Seed for all session randomness.
     """
 
-    convention = BINARY
-    abstain_value = BINARY.abstain
-
-    #: The binary session adds the hard ±1 proxy to the checkpointed arrays.
-    _CHECKPOINT_ARRAY_FIELDS = IncrementalSessionEngine._CHECKPOINT_ARRAY_FIELDS + (
-        "proxy_labels",
-    )
-
     def __init__(
         self,
         dataset: FeaturizedDataset,
@@ -152,19 +152,23 @@ class DataProgrammingSession(IncrementalSessionEngine, InteractiveMethod):
         seed=None,
     ) -> None:
         InteractiveMethod.__init__(self, dataset, seed)
+        convention = self.convention
         if label_model_factory is None:
-            label_model_factory = self.convention.default_label_model_factory(dataset)
+            label_model_factory = convention.default_label_model_factory(dataset)
         if end_model is None:
-            end_model = self.convention.default_end_model(dataset)
-        self.family = LFFamily(dataset.primitive_names, dataset.train.B)
+            end_model = convention.default_end_model(dataset)
+        self.family = convention.lf_family(dataset)
 
         n_train = dataset.train.n
-        prior = dataset.label_prior
-        self.soft_labels = np.full(n_train, prior)
-        self.entropies = posterior_entropy(self.soft_labels)
-        # Prior-sampled proxy labels until the first end model exists.
-        self.proxy_labels = np.where(self.rng.random(n_train) < prior, 1, -1)
-        self.proxy_proba = np.full(n_train, prior)
+        self.soft_labels = convention.prior_posterior(dataset, n_train)
+        self.entropies = convention.posterior_entropy(self.soft_labels)
+        self.proxy_proba = convention.prior_posterior(dataset, n_train)
+        if convention is BINARY:
+            # Binary sessions once drew prior-sampled hard proxies here.
+            # Nothing reads them any more, but the draw fixes where every
+            # seeded binary session's RNG stream starts, so the recorded
+            # binary runs (goldens, transcripts) stay byte-identical.
+            self.rng.random(n_train)
         self._init_engine(
             selector=selector,
             user=user,
@@ -178,39 +182,10 @@ class DataProgrammingSession(IncrementalSessionEngine, InteractiveMethod):
             warm_min_train=warm_min_train,
         )
 
-    # ------------------------------------------------------------------ #
-    # engine hooks
-    # ------------------------------------------------------------------ #
-    def build_state(self) -> SessionState:
-        """Snapshot the session for selectors and the user."""
-        return SessionState(
-            dataset=self.dataset,
-            family=self.family,
-            iteration=self.iteration,
-            lfs=self.lfs,
-            L_train=self.L_train,
-            soft_labels=(
-                self.selection_soft_labels
-                if self.selection_soft_labels is not None
-                else self.soft_labels
-            ),
-            entropies=(
-                self.selection_entropies
-                if self.selection_entropies is not None
-                else self.entropies
-            ),
-            proxy_labels=self.proxy_labels,
-            proxy_proba=self.proxy_proba,
-            selected=self.selected,
-            rng=self.rng,
-            cache=self._selector_cache,
-            proxy_provider=self._resolve_proxy,
-        )
-
-    def _refresh_proxy(self) -> None:
-        self.proxy_proba = self.end_model.predict_proba(self.dataset.train.X)
-        self.proxy_labels = np.where(self.proxy_proba >= 0.5, 1, -1)
-        self._proxy_stale = False
+    @property
+    def proxy_labels(self) -> np.ndarray:
+        """Hard proxy labels: ``proxy_proba`` in the vote alphabet."""
+        return self.convention.posterior_to_votes(self.proxy_proba)
 
     # ------------------------------------------------------------------ #
     # prediction
@@ -221,7 +196,7 @@ class DataProgrammingSession(IncrementalSessionEngine, InteractiveMethod):
         return self.end_model.predict(self.dataset.test.X)
 
     def predict_proba_test(self) -> np.ndarray:
-        """``P(y=+1|x)`` on the test split (prior before any model exists)."""
+        """Test-split posterior (``P(y=+1|x)``, or ``(n, K)``); the prior pre-model."""
         if not self._end_model_fitted:
-            return np.full(self.dataset.test.n, self.dataset.label_prior)
+            return self.convention.prior_posterior(self.dataset, self.dataset.test.n)
         return self.end_model.predict_proba(self.dataset.test.X)

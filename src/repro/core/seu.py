@@ -24,7 +24,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from repro.core.selection import BaseSessionState, DevDataSelector
+from repro.core.selection import DevDataSelector, SessionState
 from repro.core.user_model import UserModel, make_user_model
 from repro.core.utility import LFUtility, make_utility
 
@@ -85,7 +85,7 @@ class SEUSelector(DevDataSelector):
         self.warmup = warmup
         self.min_classes = min_classes
 
-    def select(self, state: BaseSessionState) -> int | None:
+    def select(self, state: SessionState) -> int | None:
         mask = state.candidate_mask()
         if not mask.any():
             return None
@@ -94,7 +94,7 @@ class SEUSelector(DevDataSelector):
         scores = self.expected_utilities(state)
         return self._argmax_with_ties(scores, mask, state.rng)
 
-    def _in_cold_start(self, state: BaseSessionState) -> bool:
+    def _in_cold_start(self, state: SessionState) -> bool:
         if len(state.lfs) < self.warmup:
             return True
         labels = {lf.label for lf in state.lfs}
@@ -103,7 +103,7 @@ class SEUSelector(DevDataSelector):
     # ------------------------------------------------------------------ #
     # scoring
     # ------------------------------------------------------------------ #
-    def expected_utilities(self, state: BaseSessionState) -> np.ndarray:
+    def expected_utilities(self, state: SessionState) -> np.ndarray:
         """``E_{P(λ|x)}[Ψ_t(λ)]`` for every train example, shape ``(n,)``.
 
         Every input of the expectation (the accuracy table ``B.T @ proxy``,
@@ -169,7 +169,7 @@ class SEUSelector(DevDataSelector):
             cache[cache_key] = expected
         return expected
 
-    def expected_utility_of(self, example_index: int, state: BaseSessionState) -> float:
+    def expected_utility_of(self, example_index: int, state: SessionState) -> float:
         """Scalar expected utility of one example (reference path for tests).
 
         Enumerates the candidate LFs of the example explicitly and combines

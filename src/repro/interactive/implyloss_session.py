@@ -88,7 +88,6 @@ class ImplyLossSession(DataProgrammingSession):
         self.soft_labels = model.predict_proba(self.dataset.train.X)
         self.entropies = posterior_entropy(self.soft_labels)
         self.proxy_proba = self.soft_labels
-        self.proxy_labels = np.where(self.soft_labels >= 0.5, 1, -1)
         self._end_model_fitted = True
         self._selector_cache.clear()
 
@@ -105,5 +104,5 @@ class ImplyLossSession(DataProgrammingSession):
             self._refit_now()
             self._dirty = False
         if self.imply_model_ is None:
-            return np.full(self.dataset.test.n, self.dataset.label_prior)
+            return self.convention.prior_posterior(self.dataset, self.dataset.test.n)
         return self.imply_model_.predict_proba(self.dataset.test.X)

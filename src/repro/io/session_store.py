@@ -147,9 +147,8 @@ class SessionTranscript:
 def transcript_from_session(session, metadata: dict | None = None) -> SessionTranscript:
     """Extract the transcript of a (binary or multiclass) session.
 
-    Works on any object exposing a ``lineage`` store and a ``dataset`` —
-    both :class:`~repro.core.session.DataProgrammingSession` and
-    :class:`~repro.multiclass.session.MultiClassSession` qualify.
+    Works on any object exposing a ``lineage`` store and a ``dataset``,
+    such as a :class:`~repro.core.session.DataProgrammingSession`.
     """
     entries = [
         TranscriptEntry(iteration=r.iteration, dev_index=r.dev_index, lf=r.lf)
@@ -243,9 +242,8 @@ class ReplayUser(LFDeveloper):
 def replay_session(
     transcript: SessionTranscript,
     dataset,
-    session_factory=None,
     **session_kwargs,
-) -> object:
+) -> DataProgrammingSession:
     """Re-drive a recorded interaction history through a learning pipeline.
 
     Parameters
@@ -255,13 +253,11 @@ def replay_session(
     dataset:
         The featurized dataset the transcript was recorded on (or an
         identically-featurized rebuild; name and vocabulary are checked).
-    session_factory:
-        Callable ``(dataset, selector, user, **kwargs) -> session``.
-        Defaults to :class:`~repro.core.session.DataProgrammingSession`;
-        pass :class:`~repro.multiclass.session.MultiClassSession` to replay
-        a multiclass transcript.
+        Its label space picks the vote alphabet, so binary and multiclass
+        transcripts replay alike.
     **session_kwargs:
-        Forwarded to the factory — this is where a *different* learning
+        Forwarded to :class:`~repro.core.session.DataProgrammingSession` —
+        this is where a *different* learning
         pipeline is plugged in (``contextualizer=...``,
         ``label_model_factory=...``) to re-score recorded LFs, as the
         paper does for ImplyLoss on the Snorkel user-study LFs.
@@ -275,8 +271,7 @@ def replay_session(
             f"transcript was recorded on {transcript.dataset_name!r} but the "
             f"given dataset is {dataset.name!r}"
         )
-    factory = session_factory or DataProgrammingSession
-    session = factory(
+    session = DataProgrammingSession(
         dataset,
         ScriptedSelector(transcript),
         ReplayUser(transcript),

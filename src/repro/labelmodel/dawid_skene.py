@@ -199,16 +199,16 @@ class DawidSkene(LabelModel):
     # ------------------------------------------------------------------ #
     @staticmethod
     def _outcome_masses(stats: ColumnStats) -> dict[str, object]:
-        """Per-outcome sparse indicator structure, shared by all EM steps."""
-        return {"Fn": stats.value_csc(-1), "Fp": stats.value_csc(1)}
+        """Per-outcome ``(m, n)`` vote indicators (transposed), shared by all EM steps."""
+        return {"Fn": stats.value_t(-1), "Fp": stats.value_t(1)}
 
     @staticmethod
     def _m_step_stats(masses: dict, q: np.ndarray) -> np.ndarray:
         """O(nnz) confusion update: the fired-outcome masses come from two
         sparse mat-vecs; the abstain column is the remaining class mass."""
         weights = np.stack([1 - q, q], axis=1)  # (n, 2)
-        cn = np.asarray(masses["Fn"].T @ weights)  # (m, 2) mass voting -1
-        cp = np.asarray(masses["Fp"].T @ weights)  # (m, 2) mass voting +1
+        cn = np.asarray(masses["Fn"] @ weights)  # (m, 2) mass voting -1
+        cp = np.asarray(masses["Fp"] @ weights)  # (m, 2) mass voting +1
         total = weights.sum(axis=0)  # (2,)
         counts = np.empty((cn.shape[0], 2, 3))
         counts[:, :, 0] = cn

@@ -390,14 +390,16 @@ class ColumnStats:
     engine refit.
 
     The handle reads the owning matrix live: after a column append it is
-    automatically current (cached CSC assemblies are invalidated by the
-    column-count key).  ``matches(L)`` ties it to a concrete dense view so
-    a model can fail loudly rather than fit against a stale handle.
+    automatically current (cached CSC assemblies and their transposes are
+    invalidated by the column-count key).  ``matches(L)`` ties it to a
+    concrete dense view so a model can fail loudly rather than fit against
+    a stale handle.
     """
 
     def __init__(self, matrix: VoteMatrix) -> None:
         self._vm = matrix
         self._csc_cache: dict[object, tuple[int, sp.csc_matrix]] = {}
+        self._t_cache: dict[object, tuple[int, sp.csr_matrix]] = {}
         self._nnz_cache: tuple[int, np.ndarray] | None = None
         self._count_cache: dict[int, tuple[int, np.ndarray]] = {}
         self._entries_cache: (
@@ -525,6 +527,33 @@ class ColumnStats:
         )
         self._csc_cache[("value", value)] = (self.m, mat)
         return mat
+
+    # -- transposed assemblies (the EM M-step layout) ------------------- #
+    def _transposed(self, key: object, csc: sp.csc_matrix) -> sp.csr_matrix:
+        """``csc.T``, cached next to its assembly under the same key.
+
+        ``.T`` of a CSC matrix is a CSR view over the same arrays, but
+        building the view costs a format check per call; M-steps take it
+        once per EM iteration, so it is built once per column count.
+        """
+        cached = self._t_cache.get(key)
+        if cached is not None and cached[0] == self.m:
+            return cached[1]
+        mat = csc.T
+        self._t_cache[key] = (self.m, mat)
+        return mat
+
+    def fires_t(self) -> sp.csr_matrix:
+        """``(m, n)`` transpose of :meth:`fires_csc`."""
+        return self._transposed("fires", self.fires_csc())
+
+    def signed_t(self) -> sp.csr_matrix:
+        """``(m, n)`` transpose of :meth:`signed_csc`."""
+        return self._transposed("signed", self.signed_csc())
+
+    def value_t(self, value: int) -> sp.csr_matrix:
+        """``(m, n)`` transpose of :meth:`value_csc`."""
+        return self._transposed(("value", int(value)), self.value_csc(value))
 
     # -- flat entry arrays (the table-kernel gather layout) ------------- #
     def entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:

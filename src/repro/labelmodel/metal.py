@@ -291,10 +291,8 @@ class MetalLabelModel(LabelModel):
         # With t = Σ_fired q and s = Σ_fired v·q (v = ±1), the positive
         # and negative vote masses are (t ± s) / 2, and
         # correct = pos_mass + (n_neg − neg_mass).
-        F = stats.fires_csc()
-        S = stats.signed_csc()
-        t = np.asarray(F.T @ q).ravel()
-        s = np.asarray(S.T @ q).ravel()
+        t = np.asarray(stats.fires_t() @ q).ravel()
+        s = np.asarray(stats.signed_t() @ q).ravel()
         pos_mass = 0.5 * (t + s)
         neg_mass = 0.5 * (t - s)
         neg_counts = stats.value_col_counts(-1).astype(float)

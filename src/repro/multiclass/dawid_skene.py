@@ -264,7 +264,7 @@ class MCDawidSkeneModel(MultiClassLabelModel):
         class_mass = Q.sum(axis=0)  # (K,)
         counts = np.empty((stats.m, K, K))  # counts[j, k, l]
         for l in range(K):
-            counts[:, :, l] = np.asarray(stats.value_csc(l).T @ Q)
+            counts[:, :, l] = np.asarray(stats.value_t(l) @ Q)
         fire_mass = counts.sum(axis=2)  # (m, K) — before the anchor
         counts += self.anchor * anchor_row[None, :, :]
         theta = np.clip(counts / counts.sum(axis=2, keepdims=True), _THETA_FLOOR, 1.0)

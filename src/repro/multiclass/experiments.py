@@ -2,7 +2,7 @@
 
 The K-class mirror of :mod:`repro.experiments.runners` /
 :mod:`repro.experiments.protocol`: resolve a method name to a ready-to-run
-:class:`~repro.multiclass.session.MultiClassSession` factory, and evaluate
+:class:`~repro.core.session.DataProgrammingSession` factory, and evaluate
 it over seeds with the paper's learning-curve protocol.  The binary
 protocol's :class:`~repro.experiments.protocol.LearningCurve` /
 ``RunResult`` containers are reused as-is — they only consume
@@ -14,6 +14,7 @@ from __future__ import annotations
 from collections.abc import Callable
 from dataclasses import dataclass
 
+from repro.core.session import DataProgrammingSession
 from repro.experiments.protocol import RunResult, evaluate_method
 from repro.multiclass.contextualizer import MCContextualizer, MCPercentileTuner
 from repro.multiclass.data import MCFeaturizedDataset
@@ -27,7 +28,6 @@ from repro.multiclass.selection import (
     MCUncertaintySelector,
 )
 from repro.multiclass.seu import MCSEUSelector
-from repro.multiclass.session import MultiClassSession
 from repro.multiclass.simulated_user import MCSimulatedUser
 from repro.utils.rng import stable_hash_seed
 
@@ -70,7 +70,7 @@ def make_mc_label_model_factory(name: str, dataset: MCFeaturizedDataset):
 
 def make_mc_method(
     name: str, user_threshold: float = DEFAULT_MC_USER_THRESHOLD
-) -> Callable[[MCFeaturizedDataset, int], MultiClassSession]:
+) -> Callable[[MCFeaturizedDataset, int], DataProgrammingSession]:
     """Resolve a registry name to a ``(dataset, seed) -> session`` factory.
 
     Recognized names: ``nemo-mc`` (SEU + contextualized), ``seu-mc``,
@@ -100,12 +100,12 @@ class _MCSessionFactory:
     label_model: str
     user_threshold: float
 
-    def __call__(self, dataset: MCFeaturizedDataset, seed) -> MultiClassSession:
+    def __call__(self, dataset: MCFeaturizedDataset, seed) -> DataProgrammingSession:
         user_seed = stable_hash_seed("mc-user", dataset.name, seed)
         user = MCSimulatedUser(
             dataset, accuracy_threshold=self.user_threshold, seed=user_seed
         )
-        return MultiClassSession(
+        return DataProgrammingSession(
             dataset,
             _SELECTORS[self.selector_name](),
             user,

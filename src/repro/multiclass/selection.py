@@ -3,8 +3,9 @@
 The session state and every baseline selector live in
 :mod:`repro.core.selection`, written once against the
 :class:`~repro.core.convention.VoteConvention` contract; this module binds
-their historical multiclass names.  ``MCSessionState`` reads the K-class
-convention (votes ``0..K-1``, ``-1`` abstains) from its LF family.
+their historical multiclass names.  ``MCSessionState`` is the one
+:class:`~repro.core.selection.SessionState`, which reads the K-class
+convention (votes ``0..K-1``, ``-1`` abstains) from its dataset.
 """
 
 from __future__ import annotations
@@ -13,8 +14,8 @@ from repro.core.selection import (
     AbstainSelector as MCAbstainSelector,
     DevDataSelector as MCDevDataSelector,
     DisagreeSelector as MCDisagreeSelector,
-    MulticlassSessionState as MCSessionState,
     RandomSelector as MCRandomSelector,
+    SessionState as MCSessionState,
     UncertaintySelector as MCUncertaintySelector,
 )
 

@@ -203,6 +203,22 @@ class TestConventionDispatch:
         P = np.stack([p, 1 - p], axis=1)
         np.testing.assert_allclose(conv.signed_agreement(P)[:, 0], 2 * p - 1)
 
+    def test_both_registries_build_the_one_session_class(self):
+        from repro.core.session import DataProgrammingSession
+        from repro.data import load_dataset
+        from repro.experiments import make_method
+        from repro.multiclass import make_topics_dataset
+        from repro.multiclass.experiments import make_mc_method
+
+        binary = load_dataset("amazon", scale="tiny", seed=0)
+        topics = make_topics_dataset(n_docs=300, seed=0, vocab_scale=5)
+        for factory, ds in ((make_method("nemo"), binary), (make_mc_method("nemo-mc"), topics)):
+            session = factory(ds, 0)
+            assert type(session) is DataProgrammingSession
+            assert session.convention is convention_for(ds)
+            assert session.build_state().convention is session.convention
+            assert session.abstain_value == session.convention.abstain
+
     def test_default_learners(self):
         from repro.data import load_dataset
         from repro.endmodel.logistic import SoftLabelLogisticRegression
@@ -230,21 +246,3 @@ class TestFailClosed:
             SessionState(**common)
         with pytest.raises(TypeError, match="proxy_proba"):
             MulticlassSessionState(**common)
-
-    def test_engine_requires_a_convention(self):
-        from repro.core.engine import IncrementalSessionEngine
-
-        class ForgotConvention(IncrementalSessionEngine):
-            pass
-
-        engine = ForgotConvention()
-        with pytest.raises(TypeError, match="VoteConvention"):
-            engine._init_engine(
-                selector=None,
-                user=None,
-                label_model_factory=lambda: None,
-                end_model=type("M", (), {"fit": lambda self, X, y: None})(),
-                contextualizer=None,
-                percentile_tuner=None,
-                tune_every=1,
-            )

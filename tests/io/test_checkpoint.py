@@ -300,6 +300,42 @@ class TestEarlierBuildCheckpoints:
         assert "label_anchor" not in restored.state_dict()
 
 
+    @pytest.mark.parametrize("legacy", ["mc-engine-class", "binary-proxy-labels"])
+    def test_pre_merge_snapshots_restore_and_continue(
+        self, legacy, binary_dataset, mc_dataset, tmp_path
+    ):
+        """Snapshots from before the two session classes merged: K-class
+        ones name ``MultiClassSession`` as their engine class, binary ones
+        carry the hard ``proxy_labels`` array, which is now derived."""
+        kind = "multiclass" if legacy == "mc-engine-class" else "binary"
+        ref = _build(kind, "metal", binary_dataset, mc_dataset)
+        ref.run(TOTAL_ITERATIONS)
+
+        first = _build(kind, "metal", binary_dataset, mc_dataset)
+        first.run(SNAPSHOT_AT)
+        state = load_checkpoint(save_session_checkpoint(first, tmp_path / "now.ckpt.npz"))
+        session_state = state["session"]
+        assert session_state["engine_class"] == "DataProgrammingSession"
+        assert "proxy_labels" not in session_state["arrays"]
+        if kind == "multiclass":
+            session_state["engine_class"] = "MultiClassSession"
+        else:
+            session_state["arrays"]["proxy_labels"] = first.proxy_labels.copy()
+        legacy_path = save_checkpoint(tmp_path / "legacy.ckpt.npz", state)
+
+        restored = _build(kind, "metal", binary_dataset, mc_dataset)
+        load_session_checkpoint(restored, legacy_path)
+        restored.run(TOTAL_ITERATIONS - SNAPSHOT_AT)
+
+        assert restored.soft_labels.tobytes() == ref.soft_labels.tobytes()
+        assert restored.proxy_proba.tobytes() == ref.proxy_proba.tobytes()
+        assert [(lf.primitive, lf.label) for lf in restored.lfs] == [
+            (lf.primitive, lf.label) for lf in ref.lfs
+        ]
+        assert restored.test_score() == ref.test_score()
+        assert restored.state_dict()["engine_class"] == "DataProgrammingSession"
+
+
 class TestFailClosedLoading:
     def test_missing_file(self, tmp_path):
         with pytest.raises(CheckpointError, match="does not exist"):
@@ -348,11 +384,40 @@ class TestFailClosedLoading:
         with pytest.raises(CheckpointError, match="dataset"):
             load_session_checkpoint(target, path)
 
-    def test_wrong_engine_class_rejected(self, binary_dataset, mc_dataset, tmp_path):
+    def test_wrong_engine_class_rejected(self, binary_dataset, tmp_path):
+        # Same dataset and alphabet: only the session class differs.
+        from repro.core.batch_session import BatchDataProgrammingSession, BatchRandomSelector
+
         session = _binary_session(binary_dataset, "metal")
         path = save_session_checkpoint(session, tmp_path / "bin.ckpt.npz")
-        target = _mc_session(mc_dataset)
-        with pytest.raises(CheckpointError):
+        target = BatchDataProgrammingSession(
+            binary_dataset, BatchRandomSelector(), SimulatedUser(binary_dataset, seed=11), seed=3
+        )
+        with pytest.raises(CheckpointError, match="DataProgrammingSession"):
+            load_session_checkpoint(target, path)
+
+    @pytest.mark.parametrize("direction", ["binary-into-kclass", "kclass-into-binary"])
+    def test_cross_alphabet_restore_rejected(
+        self, direction, binary_dataset, mc_dataset, tmp_path
+    ):
+        # One session class runs both alphabets, so the engine-class check
+        # cannot tell them apart: the abstain sentinel must.  The snapshot's
+        # dataset identity is rewritten to the target's so that only the
+        # alphabet differs.
+        binary = _binary_session(binary_dataset, "metal")
+        kclass = _mc_session(mc_dataset)
+        source, target = (
+            (binary, kclass) if direction == "binary-into-kclass" else (kclass, binary)
+        )
+        source.run(4)
+        state = load_checkpoint(save_session_checkpoint(source, tmp_path / "src.ckpt.npz"))
+        state["session"].update(
+            dataset_name=target.dataset.name,
+            n_train=target.dataset.train.n,
+            n_valid=target.dataset.valid.n,
+        )
+        path = save_checkpoint(tmp_path / "cross.ckpt.npz", state)
+        with pytest.raises(ValueError, match="abstain"):
             load_session_checkpoint(target, path)
 
     def test_wrong_label_model_family_rejected(self, binary_dataset, tmp_path):

@@ -218,9 +218,7 @@ class TestReplay:
         live = MultiClassSession(ds, MCRandomSelector(), MCSimulatedUser(ds, seed=1), seed=1)
         live.run(8)
         transcript = transcript_from_session(live)
-        replayed = replay_session(
-            transcript, ds, session_factory=MultiClassSession, seed=0
-        )
+        replayed = replay_session(transcript, ds, seed=0)
         assert [lf.name for lf in replayed.lfs] == [lf.name for lf in live.lfs]
         assert replayed.test_score() == pytest.approx(live.test_score())
 

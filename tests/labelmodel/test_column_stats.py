@@ -235,6 +235,65 @@ class TestWarmFitBitIdentity:
         )
 
 
+def _fitted_bytes(model) -> list[bytes]:
+    names = ("accuracies_", "propensities_", "prior_", "confusion_", "confusions_", "priors_")
+    return [np.asarray(getattr(model, n)).tobytes() for n in names if hasattr(model, n)]
+
+
+class TestCachedTransposes:
+    """M-steps read ``(m, n)`` transposes cached on the handle, not ``.T``
+    rebuilt every EM iteration; the cached object is the same CSR matrix."""
+
+    def test_transposes_are_cached_per_column_count(self):
+        rng = np.random.default_rng(4)
+        L = planted_binary(rng, n=50, m=3)
+        vm = VoteMatrix.from_dense(L)
+        stats = vm.stats
+        pairs = [
+            (stats.fires_t, stats.fires_csc),
+            (stats.signed_t, stats.signed_csc),
+            (lambda: stats.value_t(1), lambda: stats.value_csc(1)),
+            (lambda: stats.value_t(-1), lambda: stats.value_csc(-1)),
+        ]
+        for transposed, csc in pairs:
+            t = transposed()
+            assert t is transposed()
+            reference = csc().T
+            assert t.format == reference.format == "csr"
+            for attr in ("data", "indices", "indptr"):
+                assert getattr(t, attr).tobytes() == getattr(reference, attr).tobytes()
+        first = stats.fires_t()
+        vm.append_rows(np.array([0, 7]), 1)
+        assert stats.fires_t().shape == (4, 50)
+        assert first.shape == (3, 50)  # the old transpose is not mutated
+
+    @pytest.mark.parametrize("family", ["metal", "dawid-skene", "mc-dawid-skene"])
+    def test_fits_are_byte_identical_to_per_iteration_transposes(self, family, monkeypatch):
+        from repro.labelmodel.dawid_skene import DawidSkene
+        from repro.labelmodel.metal import MetalLabelModel
+        from repro.multiclass.dawid_skene import MCDawidSkeneModel
+
+        rng = np.random.default_rng(14)
+        if family == "mc-dawid-skene":
+            L, abstain = planted_mc(rng, n=300, m=7, K=3), -1
+            factory = lambda: MCDawidSkeneModel(n_classes=3)  # noqa: E731
+        else:
+            L, abstain = planted_binary(rng, n=300, m=7), 0
+            factory = MetalLabelModel if family == "metal" else DawidSkene
+
+        def fits():
+            vm = VoteMatrix.from_dense(L, abstain=abstain)
+            cold = factory().fit(vm.values, stats=vm.stats)
+            prev = factory().fit(L[:, :-1].copy())
+            warm = factory().fit_warm(vm.values, prev, max_iter=3, stats=vm.stats)
+            return _fitted_bytes(cold) + _fitted_bytes(warm)
+
+        cached = fits()
+        # The models' former arithmetic: a fresh ``.T`` on every call.
+        monkeypatch.setattr(ColumnStats, "_transposed", lambda self, key, csc: csc.T)
+        assert cached == fits()
+
+
 class TestColumnStatsType:
     def test_stats_property_returns_columnstats_singleton(self):
         vm = VoteMatrix(4, abstain=0)

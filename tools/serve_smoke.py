@@ -1,6 +1,8 @@
 """CI smoke for the serve layer: SIGKILL a live session server, restart, verify.
 
-Exercises the full serve-path durability story end-to-end over real HTTP:
+Exercises the full serve-path durability story end-to-end over real HTTP,
+for a binary session (``snorkel``/amazon) and a K-class one
+(``snorkel-mc``/topics), both served by the one session class:
 
 1. start ``repro serve`` as a subprocess and drive a session through the
    propose/submit protocol with a *deterministic* client rule (a pure
@@ -20,7 +22,8 @@ Exercises the full serve-path durability story end-to-end over real HTTP:
    the exposition (non-empty, expected metric families present, counters
    monotonic across scrapes, ``/statusz`` command counts populated).
    When ``SERVE_SMOKE_METRICS_OUT`` is set, the final metrics + statusz
-   snapshot is written there as JSON (CI uploads it as an artifact);
+   snapshot is written there as JSON (CI uploads it as an artifact) — the
+   binary reference run only;
 6. right after the reference run's last command, with no sleep or poll,
    scrape ``/metrics`` and require that every command the client saw
    succeed has exactly that many 200s server-side — the server accounts
@@ -53,6 +56,7 @@ from repro.serve import ServeClientError, SessionClient  # noqa: E402
 
 SESSION = "smoke"
 CFG = dict(method="snorkel", dataset="amazon", scale="tiny", seed=17)
+MC_CFG = dict(method="snorkel-mc", dataset="topics", scale="tiny", seed=17)
 N_ITERATIONS = 12
 EVAL_EVERY = 3
 SNAPSHOT_EVERY = 2
@@ -128,25 +132,28 @@ def start_server(root: Path) -> tuple[subprocess.Popen, CountingClient]:
             time.sleep(0.1)
 
 
-def client_rule(proposal: dict, used: set[tuple[str, int]]):
+def client_rule(proposal: dict, used: set[tuple[str, int]], labels: tuple[int, ...]):
     """Deterministic pure function of (proposal, submitted-so-far).
 
     Submits the lexicographically smallest unused primitive of the shown
-    example — labelled by token-length parity so the vote matrix carries
-    both classes and the score curve actually moves — or declines.  Any
-    replay of the same proposal stream reproduces the same commands
-    bit-for-bit.
+    example — labelled ``labels[len(token) % len(labels)]`` (binary: +1 for
+    even token lengths, −1 for odd; K classes: ``len(token) % K``) so the
+    vote matrix carries several classes and the score curve actually moves
+    — or declines.  Any replay of the same proposal stream reproduces the
+    same commands bit-for-bit.
     """
     if proposal["dev_index"] is None:
         return None
     for token in sorted(proposal["primitives"]):
-        label = 1 if len(token) % 2 == 0 else -1
+        label = labels[len(token) % len(labels)]
         if (token, label) not in used:
             return token, label
     return None
 
 
-def drive(client: SessionClient, curve: dict, kill_proc=None) -> None:
+def drive(
+    client: SessionClient, curve: dict, labels: tuple[int, ...], kill_proc=None
+) -> None:
     """Drive SESSION to N_ITERATIONS; record (and cross-check) the curve.
 
     Starts from whatever iteration the server reports — after a restart
@@ -159,7 +166,7 @@ def drive(client: SessionClient, curve: dict, kill_proc=None) -> None:
     while iteration < N_ITERATIONS:
         proposal = client.propose(SESSION)
         check(proposal["iteration"] == iteration, "proposal iteration drifted")
-        choice = client_rule(proposal, used)
+        choice = client_rule(proposal, used, labels)
         if choice is None:
             result = client.decline(SESSION)
         else:
@@ -273,85 +280,102 @@ def check_metrics(client: SessionClient) -> dict:
     return {"metrics": second_text, "statusz": status}
 
 
-def main() -> int:
-    with tempfile.TemporaryDirectory(prefix="serve_smoke_") as tmp:
-        # ---- reference: one uninterrupted server ---------------------- #
-        ref_root = Path(tmp) / "reference"
-        proc, client = start_server(ref_root)
-        try:
-            client.create(SESSION, **CFG)
-            ref_curve: dict[int, float] = {}
-            drive(client, ref_curve)
-            ref_lfs = final_lfs(client)
-            ref_score = client.score(SESSION)["test_score"]
+def kill_restore_check(
+    tmp: Path, cfg: dict, labels: tuple[int, ...], metrics: bool = False
+) -> None:
+    """Reference run vs SIGKILL + restart over the same root: bit-identical.
+
+    With ``metrics`` the reference run also carries the metrics checks
+    (steps 5 and 6 of the module docstring).
+    """
+    tag = f"{cfg['method']}/{cfg['dataset']}"
+    # ---- reference: one uninterrupted server -------------------------- #
+    ref_root = tmp / f"{cfg['dataset']}-reference"
+    proc, client = start_server(ref_root)
+    try:
+        client.create(SESSION, **cfg)
+        ref_curve: dict[int, float] = {}
+        drive(client, ref_curve, labels)
+        ref_lfs = final_lfs(client)
+        ref_score = client.score(SESSION)["test_score"]
+        if metrics:
             check_exact_counts(client)
             artifact = check_metrics(client)
-        finally:
-            proc.send_signal(signal.SIGTERM)
-            proc.wait()
-        print(f"[serve-smoke] reference run: {len(ref_lfs)} LFs, curve {ref_curve}")
-        artifact_out = os.environ.get("SERVE_SMOKE_METRICS_OUT")
-        if artifact_out:
-            Path(artifact_out).write_text(json.dumps(artifact, indent=2) + "\n")
-            print(f"[serve-smoke] wrote metrics artifact to {artifact_out}")
+    finally:
+        proc.send_signal(signal.SIGTERM)
+        proc.wait()
+    print(f"[serve-smoke] {tag} reference run: {len(ref_lfs)} LFs, curve {ref_curve}")
+    artifact_out = os.environ.get("SERVE_SMOKE_METRICS_OUT")
+    if metrics and artifact_out:
+        Path(artifact_out).write_text(json.dumps(artifact, indent=2) + "\n")
+        print(f"[serve-smoke] wrote metrics artifact to {artifact_out}")
 
-        # ---- victim: SIGKILLed mid-session, then restarted ------------ #
-        root = Path(tmp) / "killed"
-        proc, client = start_server(root)
-        client.create(SESSION, **CFG)
-        curve: dict[int, float] = {}
-        drive(client, curve, kill_proc=proc)
-        check(proc.poll() is not None, "server survived SIGKILL?")
-        print(f"[serve-smoke] SIGKILLed server after iteration {KILL_AFTER}")
+    # ---- victim: SIGKILLed mid-session, then restarted ---------------- #
+    root = tmp / f"{cfg['dataset']}-killed"
+    proc, client = start_server(root)
+    client.create(SESSION, **cfg)
+    curve: dict[int, float] = {}
+    drive(client, curve, labels, kill_proc=proc)
+    check(proc.poll() is not None, "server survived SIGKILL?")
+    print(f"[serve-smoke] {tag}: SIGKILLed server after iteration {KILL_AFTER}")
 
-        snapshots = sorted((root / SESSION).glob("step-*.ckpt.npz"))
-        check(
-            len(snapshots) <= KEEP_LAST,
-            f"rotation kept {len(snapshots)} snapshots, cap is {KEEP_LAST}",
-        )
-        check(
-            snapshots and snapshots[-1].name == "step-00000006.ckpt.npz",
-            f"latest rotated snapshot unexpected: {[p.name for p in snapshots]}",
-        )
-
-        proc, client = start_server(root)
-        try:
-            restored = client.info(SESSION)["iteration"]
-            check(
-                restored == KILL_AFTER - 1,
-                f"restored iteration {restored}, expected {KILL_AFTER - 1} "
-                "(the un-snapshotted commit must be lost)",
-            )
-            print(f"[serve-smoke] restarted server resumed at iteration {restored}")
-            drive(client, curve)  # replays 7, then continues to the end
-            kill_lfs = final_lfs(client)
-            kill_score = client.score(SESSION)["test_score"]
-        finally:
-            proc.send_signal(signal.SIGTERM)
-            proc.wait()
-
-        # ---- bit-identical to the uninterrupted run ------------------- #
-        check(curve == ref_curve, f"curves differ: {curve} != {ref_curve}")
-        check(kill_lfs == ref_lfs, f"LF sequences differ: {kill_lfs} != {ref_lfs}")
-        check(kill_score == ref_score, "final scores differ")
-
-        # ---- ... down to the bytes of the newest snapshot ------------- #
-        ref_newest = sorted((ref_root / SESSION).glob("step-*.ckpt.npz"))[-1]
-        kill_newest = sorted((root / SESSION).glob("step-*.ckpt.npz"))[-1]
-        check(
-            kill_newest.name == ref_newest.name,
-            f"newest snapshots differ in name: {kill_newest.name} != {ref_newest.name}",
-        )
-        check(
-            kill_newest.read_bytes() == ref_newest.read_bytes(),
-            f"newest snapshot {ref_newest.name} differs in bytes between the "
-            "uninterrupted and the killed-and-restored run",
-        )
-    print(
-        "[serve-smoke] OK: kill/restart resumed from the rotated snapshot; the "
-        "completed curve and the newest snapshot's bytes are identical to the "
-        "uninterrupted run"
+    snapshots = sorted((root / SESSION).glob("step-*.ckpt.npz"))
+    check(
+        len(snapshots) <= KEEP_LAST,
+        f"rotation kept {len(snapshots)} snapshots, cap is {KEEP_LAST}",
     )
+    check(
+        snapshots and snapshots[-1].name == "step-00000006.ckpt.npz",
+        f"latest rotated snapshot unexpected: {[p.name for p in snapshots]}",
+    )
+
+    proc, client = start_server(root)
+    try:
+        restored = client.info(SESSION)["iteration"]
+        check(
+            restored == KILL_AFTER - 1,
+            f"restored iteration {restored}, expected {KILL_AFTER - 1} "
+            "(the un-snapshotted commit must be lost)",
+        )
+        print(f"[serve-smoke] {tag}: restarted server resumed at iteration {restored}")
+        drive(client, curve, labels)  # replays 7, then continues to the end
+        kill_lfs = final_lfs(client)
+        kill_score = client.score(SESSION)["test_score"]
+    finally:
+        proc.send_signal(signal.SIGTERM)
+        proc.wait()
+
+    # ---- bit-identical to the uninterrupted run ----------------------- #
+    check(curve == ref_curve, f"{tag}: curves differ: {curve} != {ref_curve}")
+    check(kill_lfs == ref_lfs, f"{tag}: LF sequences differ: {kill_lfs} != {ref_lfs}")
+    check(kill_score == ref_score, f"{tag}: final scores differ")
+
+    # ---- ... down to the bytes of the newest snapshot ----------------- #
+    ref_newest = sorted((ref_root / SESSION).glob("step-*.ckpt.npz"))[-1]
+    kill_newest = sorted((root / SESSION).glob("step-*.ckpt.npz"))[-1]
+    check(
+        kill_newest.name == ref_newest.name,
+        f"{tag}: newest snapshots differ in name: {kill_newest.name} != {ref_newest.name}",
+    )
+    check(
+        kill_newest.read_bytes() == ref_newest.read_bytes(),
+        f"{tag}: newest snapshot {ref_newest.name} differs in bytes between the "
+        "uninterrupted and the killed-and-restored run",
+    )
+    print(
+        f"[serve-smoke] {tag} OK: kill/restart resumed from the rotated snapshot; "
+        "the completed curve and the newest snapshot's bytes are identical to "
+        "the uninterrupted run"
+    )
+
+
+def main() -> int:
+    from repro.data.named import load_named_dataset
+
+    n_classes = load_named_dataset(MC_CFG["dataset"], scale=MC_CFG["scale"]).n_classes
+    with tempfile.TemporaryDirectory(prefix="serve_smoke_") as tmp:
+        kill_restore_check(Path(tmp), CFG, (1, -1), metrics=True)
+        kill_restore_check(Path(tmp), MC_CFG, tuple(range(n_classes)))
     return 0
 
 
