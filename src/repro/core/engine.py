@@ -789,10 +789,6 @@ class IncrementalSessionEngine:
             self._L_train, self.lineage, "train", percentile=self.active_percentile_
         )
 
-    def _effective_label_matrix(self) -> np.ndarray:
-        """Dense view of :meth:`_effective_votes`."""
-        return self._effective_votes().values
-
     def _refit_selection_view(self, refined: bool) -> None:
         """Posterior over the *unrefined* votes, for selectors only.
 

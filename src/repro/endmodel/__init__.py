@@ -1,4 +1,10 @@
-"""End models (soft-label logistic/softmax regression) and metrics."""
+"""End models (soft-label logistic/softmax regression) and metrics.
+
+Both end models are the shared linear core of :mod:`repro.endmodel.linear`
+(L-BFGS ``fit``, Adam ``fit_minibatch``, checkpointed optimizer state)
+specialized by their target canonicalization, loss, parameter layout,
+link and hard-label rule.
+"""
 
 from repro.endmodel.logistic import SoftLabelLogisticRegression
 from repro.endmodel.softmax import SoftLabelSoftmaxRegression

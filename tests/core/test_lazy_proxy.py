@@ -55,8 +55,8 @@ class CountingEndModel:
         self.inner = inner
         self.predict_calls = 0
 
-    def fit(self, X, soft_labels, sample_weight=None, max_iter=None):
-        self.inner.fit(X, soft_labels, sample_weight=sample_weight, max_iter=max_iter)
+    def fit(self, X, soft_labels, max_iter=None):
+        self.inner.fit(X, soft_labels, max_iter=max_iter)
         return self
 
     def predict_proba(self, X):

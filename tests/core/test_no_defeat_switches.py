@@ -10,7 +10,9 @@ holds for the retired refit-schedule knobs: ``warm_start`` (a second
 spelling of ``full_refit_every=1``), the warm iteration caps (now engine
 constants) and the drift-adaptive ``full_refit_every="auto"`` cadence, and
 for the second optimizers: ``MetalLabelModel(method="sgd")`` and the
-binary session's Platt-calibrated proxy (``calibrate_proxy``).
+binary session's Platt-calibrated proxy (``calibrate_proxy``).  The end
+models' optimizer settings are constants of their shared core
+(``repro.endmodel.linear``): no caller set them, so they are not options.
 """
 
 import importlib
@@ -131,3 +133,50 @@ def test_end_models_predict_full_matrices_only(end_model_cls):
 )
 def test_routing_constants_are_gone(module, name):
     assert not hasattr(importlib.import_module(module), name)
+
+
+END_MODELS = pytest.mark.parametrize(
+    "make",
+    [SoftLabelLogisticRegression, lambda **kw: SoftLabelSoftmaxRegression(n_classes=2, **kw)],
+    ids=["logistic", "softmax"],
+)
+
+
+@END_MODELS
+@pytest.mark.parametrize(
+    "knob,value", [("penalize_intercept", True), ("max_iter", 50), ("tol", 1e-3)]
+)
+def test_end_models_take_no_optimizer_knobs(make, knob, value):
+    # max_iter and tol are the core's MAX_ITER and TOL; intercepts are
+    # never penalized.
+    with pytest.raises(TypeError, match=knob):
+        make(**{knob: value})
+
+
+@END_MODELS
+def test_end_model_fit_takes_no_sample_weight(make):
+    with pytest.raises(TypeError, match="sample_weight"):
+        make().fit(None, None, sample_weight=None)
+
+
+@END_MODELS
+@pytest.mark.parametrize(
+    "knob,value",
+    [("epochs", 1), ("batch_size", 256), ("lr", 0.1), ("sample_weight", None)],
+)
+def test_end_model_fit_minibatch_takes_no_schedule_knobs(make, knob, value):
+    # The Adam continuation runs the fixed MIN_STEPS_PER_CALL budget at
+    # batch MINIBATCH_SIZE and step size MINIBATCH_LR.
+    with pytest.raises(TypeError, match=knob):
+        make().fit_minibatch(None, None, **{knob: value})
+
+
+@END_MODELS
+def test_end_models_have_no_clone_unfitted(make):
+    assert not hasattr(make(), "clone_unfitted")
+
+
+def test_minibatch_module_is_gone():
+    # Its helpers are methods of the shared core now.
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("repro.endmodel.minibatch")

@@ -199,7 +199,7 @@ class TestSessionsUseTheIncrementalMatrices:
                 session.contextualizer, session_raw(session), session.lineage
             )
         assert session.refit_counts["warm"] > 0
-        dense = session._effective_label_matrix()
+        dense = session._effective_votes().values
         assert isinstance(dense, np.ndarray) and dense.shape == session.L_train.shape
 
     def test_batch_session_adds_several_columns_per_refit(self, tiny_dataset):
@@ -257,7 +257,7 @@ class TestSessionsUseTheIncrementalMatrices:
         assert restored.soft_labels.tobytes() == uninterrupted.soft_labels.tobytes()
         assert restored.active_percentile_ == uninterrupted.active_percentile_
         assert_same_matrix(
-            restored._effective_votes(), uninterrupted._effective_label_matrix()
+            restored._effective_votes(), uninterrupted._effective_votes().values
         )
 
 

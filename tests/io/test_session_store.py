@@ -188,7 +188,7 @@ class TestReplay:
         assert len(contextualized.lfs) == len(transcript)
         # the refined matrix may abstain where the raw one voted
         assert (contextualized.L_train != 0).sum() >= (
-            contextualized._effective_label_matrix() != 0
+            contextualized._effective_votes().values != 0
         ).sum()
 
     def test_replay_on_wrong_dataset_rejected(self, recorded):
