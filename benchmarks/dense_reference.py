@@ -1,22 +1,26 @@
-"""Dense reference EM for the three stats-aware label models.
+"""Dense reference EM and posteriors for the three EM label models.
 
-The label models in :mod:`repro` fit on the O(nnz)
-:class:`~repro.labelmodel.matrix.ColumnStats` kernels only.  This module
-keeps the historical dense arithmetic — full ``(n, m)`` masks re-scanned
-every EM step — in one place, outside the package, for two consumers:
+The label models in :mod:`repro` fit and predict on the O(nnz)
+:class:`~repro.labelmodel.matrix.ColumnStats` kernels only: one
+posterior kernel per model, fed a handle built by one scan when the
+caller has none.  This module keeps the historical dense arithmetic —
+full ``(n, m)`` masks re-scanned every EM step and every posterior — in
+one place, outside the package, for two consumers:
 
-* the parity tests (``tests/labelmodel/test_cold_sparse_parity.py``),
-  which check the sparse kernels against it to float tolerance; and
+* the parity tests (``tests/labelmodel/test_cold_sparse_parity.py``,
+  ``tests/labelmodel/test_kernel_selection.py``), which check the
+  sparse kernels against it to float tolerance (rtol 1e-9); and
 * the scratch baseline of ``benchmarks/bench_perf_session.py``, which
   documents the seed implementation's from-scratch refits and so must not
   inherit the sparse kernels the incremental column measures.
 
-Each class subclasses its production model and overrides only
-:meth:`fit` (a dense cold EM from the smoothed majority vote) and
-:meth:`predict_proba` (the dense posterior, whether or not a handle is
-passed).  Warm fits are inherited unchanged.  Fitted state has exactly
-the production model's shape, so a reference model can stand in for the
-production one anywhere, checkpoints included.
+Each class subclasses its production model, adds the dense posterior
+(``_posterior_dense`` / ``_e_step_dense``), and overrides :meth:`fit` (a
+dense cold EM from the smoothed majority vote) and :meth:`predict_proba`
+(the dense posterior, whether or not a handle is passed).  Warm fits are
+inherited unchanged.  Fitted state has exactly the production model's
+shape, so a reference model can stand in for the production one
+anywhere, checkpoints included.
 """
 
 from __future__ import annotations
@@ -27,6 +31,9 @@ from repro.labelmodel import dawid_skene as _ds
 from repro.labelmodel import metal as _metal
 from repro.multiclass import dawid_skene as _mcds
 from repro.multiclass.matrix import MC_ABSTAIN
+
+#: The binary vote outcomes, in the order of the confusion tables' last axis.
+_OUTCOMES = (-1, 0, 1)
 
 
 # --------------------------------------------------------------------- #
@@ -67,7 +74,7 @@ def _sufficient_stats_dense(L: np.ndarray, q: np.ndarray) -> dict[str, np.ndarra
 def _outcome_onehot_dense(L: np.ndarray) -> np.ndarray:
     """``(n, m, 3)`` one-hot of the binary outcomes ``(-1, 0, +1)``."""
     onehot = np.zeros((*L.shape, 3), dtype=float)
-    for o_idx, outcome in enumerate((-1, 0, 1)):
+    for o_idx, outcome in enumerate(_OUTCOMES):
         onehot[..., o_idx] = L == outcome
     return onehot
 
@@ -118,6 +125,33 @@ def _mc_m_step_dense(
 class DenseMetalLabelModel(_metal.MetalLabelModel):
     """:class:`~repro.labelmodel.metal.MetalLabelModel` with the dense cold EM."""
 
+    def _posterior_dense(
+        self,
+        L: np.ndarray,
+        acc: np.ndarray,
+        rho: np.ndarray,
+        with_abstain: bool = True,
+    ) -> np.ndarray:
+        """``P(y=+1 | L_i)`` under parameters ``(acc, rho, prior_)``.
+
+        Log-odds decompose into a vote term (accuracy log-odds per vote), a
+        fire-evidence term (propensity log-ratio of firing LFs), and — when
+        ``with_abstain`` — an abstain-evidence term.  The E-step always uses
+        the full model; inference drops the abstain term by default (see the
+        class docstring).
+        """
+        Lf = L.astype(float)
+        fires = (L != 0).astype(float)
+        vote_weight = np.log(acc / (1 - acc))
+        rho_neg = rho[:, 0]
+        rho_pos = rho[:, 1]
+        fire_evidence = np.log(rho_pos / rho_neg)
+        scores = _metal._logit(self.prior_) + Lf @ vote_weight + fires @ fire_evidence
+        if with_abstain:
+            abstain_evidence = np.log((1 - rho_pos) / (1 - rho_neg))
+            scores = scores + (1 - fires) @ abstain_evidence
+        return _metal._sigmoid(scores)
+
     def fit(self, L: np.ndarray, stats=None) -> "DenseMetalLabelModel":
         L = self._validated_or_stats(L, stats)
         if L.shape[0] == 0 or L.shape[1] == 0:
@@ -167,6 +201,20 @@ class DenseMetalLabelModel(_metal.MetalLabelModel):
 class DenseDawidSkene(_ds.DawidSkene):
     """:class:`~repro.labelmodel.dawid_skene.DawidSkene` with the dense cold EM."""
 
+    @staticmethod
+    def _e_step_dense(L: np.ndarray, confusion: np.ndarray, prior: float) -> np.ndarray:
+        log_conf = np.log(np.clip(confusion, 1e-12, None))  # (m, 2, 3)
+        n = L.shape[0]
+        ll = np.zeros((n, 2))
+        for o_idx, outcome in enumerate(_OUTCOMES):
+            mask = (L == outcome).astype(float)  # (n, m)
+            ll += mask @ log_conf[:, :, o_idx]  # accumulate per-class log-lik
+        ll[:, 0] += np.log(1 - prior)
+        ll[:, 1] += np.log(prior)
+        ll -= ll.max(axis=1, keepdims=True)
+        probs = np.exp(ll)
+        return probs[:, 1] / probs.sum(axis=1)
+
     def fit(self, L: np.ndarray, stats=None) -> "DenseDawidSkene":
         L = self._validated_or_stats(L, stats)
         if L.shape[1] == 0:
@@ -209,6 +257,32 @@ class DenseDawidSkene(_ds.DawidSkene):
 
 class DenseMCDawidSkeneModel(_mcds.MCDawidSkeneModel):
     """:class:`~repro.multiclass.dawid_skene.MCDawidSkeneModel` with the dense cold EM."""
+
+    def _posterior_dense(
+        self,
+        L: np.ndarray,
+        theta: np.ndarray,
+        rho: np.ndarray,
+        with_abstain: bool,
+    ) -> np.ndarray:
+        """``P(y = k | L_i)`` under parameters ``(theta, rho, priors_)``."""
+        n, m = L.shape
+        log_post = np.tile(np.log(self.priors_)[None, :], (n, 1))
+        log_theta = np.log(np.clip(theta, _mcds._THETA_FLOOR, 1.0))  # (m, K, K)
+        log_rho = np.log(rho)  # (m, K)
+        log_not_rho = np.log1p(-rho)
+        for j in range(m):
+            votes_j = L[:, j]
+            fired = votes_j != MC_ABSTAIN
+            if fired.any():
+                emitted = votes_j[fired].astype(int)
+                # evidence for class k: log ρ_j(k) + log Θ_j[k, emitted]
+                log_post[fired] += log_rho[j][None, :] + log_theta[j][:, emitted].T
+            if with_abstain and (~fired).any():
+                log_post[~fired] += log_not_rho[j][None, :]
+        log_post -= log_post.max(axis=1, keepdims=True)
+        post = np.exp(log_post)
+        return post / post.sum(axis=1, keepdims=True)
 
     def _update_priors_dense(self, L: np.ndarray, Q: np.ndarray) -> None:
         covered = _covered_dense(L, MC_ABSTAIN)

@@ -17,17 +17,17 @@ label-model package (and the multiclass Dawid–Skene model).  Scalar
 guards (``if m == 0:``) never fire: a comparison used directly as a
 branch condition is not a matrix scan.
 
-Designated dense code is exempt:
+Each EM model has one posterior kernel, the stats one: a call without a
+handle builds one by a single ingestion scan (``VoteMatrix.from_dense``).
+The dense EM and posteriors live outside the package, in
+``benchmarks/dense_reference.py``, and the diagnostic log-likelihood
+oracles live with the tests that use them.  Designated dense code is
+exempt:
 
-* functions whose name ends in ``_dense`` — the posteriors a model
-  computes straight from the dense matrix when ``predict_proba`` is
-  called without a stats handle (the dense EM itself lives outside the
-  package, in ``benchmarks/dense_reference.py``);
-* ``marginal_ll`` / ``_marginal_ll`` — diagnostic log-likelihood
-  oracles, dense by design and referenced by tests;
-* the validation and diagnostics helpers of ``matrix.py``
-  (``validate_label_matrix``, ``coverage_mask``, ``lf_accuracies``, …)
-  — the designated place dense matrices are inspected;
+* by name, the validation, diagnostics and ingestion helpers of
+  ``matrix.py`` (``validate_label_matrix``, ``coverage_mask``,
+  ``from_dense``, ``column_stats_from_dense``, …) — the designated place
+  dense matrices are inspected;
 * dense-only models with no stats path (``majority.py``, ``triplet.py``,
   ``implyloss.py``) — they take the matrix as given and are never on the
   incremental refit path.
@@ -52,7 +52,7 @@ _SCOPE_EXTRA = frozenset({"src/repro/multiclass/dawid_skene.py"})
 _EXEMPT_MODULES = frozenset({"majority.py", "triplet.py", "implyloss.py"})
 
 #: Function names that are designated dense helpers (validation,
-#: diagnostics, dense→stats conversion, log-lik oracles).
+#: diagnostics, dense→stats conversion).
 _DESIGNATED_FUNCS = frozenset(
     {
         "validate_label_matrix",
@@ -71,8 +71,6 @@ _DESIGNATED_FUNCS = frozenset(
         "append_sparse",
         "append_column",
         "stage_rows",
-        "marginal_ll",
-        "_marginal_ll",
     }
 )
 
@@ -110,8 +108,8 @@ class DenseVoteScan(Rule):
     description = (
         "label-model refit paths must compute from ColumnStats entry "
         "arrays, not dense (L != abstain)-style matrix scans; dense "
-        "arithmetic lives only in the designated *_dense no-handle "
-        "posteriors and validation/diagnostics helpers"
+        "arithmetic lives only in the designated validation/diagnostics "
+        "helpers"
     )
 
     def _in_scope(self, ctx: FileContext) -> bool:
@@ -143,13 +141,12 @@ class DenseVoteScan(Rule):
             if not isinstance(parents.get(node), _ARRAY_CONSUMERS):
                 continue
             func_name = enclosing.get(node, "")
-            if func_name.endswith("_dense") or func_name in _DESIGNATED_FUNCS:
+            if func_name in _DESIGNATED_FUNCS:
                 continue
             yield self.finding(
                 ctx,
                 node,
                 "dense abstain-sentinel scan on a label-model path — "
                 "compute from the ColumnStats entry arrays (O(nnz)); only "
-                "the *_dense no-handle posteriors and the validation "
-                "helpers may scan the dense matrix",
+                "the validation helpers may scan the dense matrix",
             )

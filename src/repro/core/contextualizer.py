@@ -22,7 +22,6 @@ import numpy as np
 
 from repro.core.convention import BINARY, VoteConvention
 from repro.core.lineage import LineageStore
-from repro.labelmodel.base import accepts_stats
 from repro.labelmodel.matrix import VoteMatrix
 from repro.text.distance import DISTANCE_NAMES
 from repro.utils.validation import check_in_range
@@ -240,11 +239,11 @@ class PercentileTuner:
 
         ``L_train``/``L_valid`` are the raw votes.  A session passes its
         :class:`VoteMatrix` stores, so each candidate's refined matrices
-        come from the lineage cache (shared with the engine's own refit)
-        and the label model fits on the refined matrix's stats handle.  A
-        dense array is refined into a new dense array and caches nothing.
-        Validation predictions use the dense posterior, like the
-        session's soft labels.
+        come from the lineage cache (shared with the engine's own refit).
+        A dense array is refined into a new dense array, caches nothing,
+        and is wrapped in a :class:`VoteMatrix`.  Either way the label
+        model fits on the refined train matrix's stats handle and
+        predicts the validation split on the refined valid matrix's.
 
         Ties resolve toward the *largest* percentile (least refinement):
         early in a session every candidate may score identically (e.g. F1
@@ -253,21 +252,21 @@ class PercentileTuner:
         """
         convention = contextualizer.convention
         metric_fn = convention.metric_fn(self.metric_name)
+
+        def refined(L, split, p) -> VoteMatrix:
+            votes = contextualizer.refine(L, lineage, split, percentile=p)
+            if isinstance(votes, VoteMatrix):
+                return votes
+            return VoteMatrix.from_dense(votes, abstain=convention.abstain)
+
         best_p = max(self.grid)
         best_score = -np.inf
         for p in sorted(self.grid, reverse=True):
-            refined_train = contextualizer.refine(L_train, lineage, "train", percentile=p)
-            model = label_model_factory()
-            if not isinstance(refined_train, VoteMatrix):
-                model.fit(refined_train)
-            elif accepts_stats(model):
-                model.fit(refined_train.values, stats=refined_train.stats)
-            else:
-                model.fit(refined_train.values)
-            refined_valid = contextualizer.refine(L_valid, lineage, "valid", percentile=p)
-            if isinstance(refined_valid, VoteMatrix):
-                refined_valid = refined_valid.values
-            preds = convention.posterior_to_votes(model.predict_proba(refined_valid))
+            train = refined(L_train, "train", p)
+            model = label_model_factory().fit(train.values, stats=train.stats)
+            valid = refined(L_valid, "valid", p)
+            proba = model.predict_proba(valid.values, stats=valid.stats)
+            preds = convention.posterior_to_votes(proba)
             score = metric_fn(y_valid, preds)
             if score > best_score:
                 best_score = score

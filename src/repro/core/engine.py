@@ -57,7 +57,6 @@ remote clients.
 
 from __future__ import annotations
 
-import inspect
 import time
 
 import numpy as np
@@ -67,7 +66,6 @@ from repro.core.covered import CoveredFeatureBuffer
 from repro.core.lineage import LineageStore
 from repro.core.protocol import PendingInteraction, ProtocolError, SimulatedDriver
 from repro.core.selection import SessionState
-from repro.labelmodel.base import accepts_stats
 from repro.labelmodel.matrix import VoteMatrix, column_nonzero_rows
 from repro.utils.rng import ensure_rng, stable_hash_seed
 
@@ -85,9 +83,9 @@ MINIBATCH_MIN_COVERED = 1000
 #: refits are never capped.
 WARM_LABEL_ITER = 3
 
-#: L-BFGS iteration cap of a warm end-model refit that cannot take the
-#: minibatch continuation (no ``fit_minibatch``, or a covered set below
-#: the gate of ``_fit_end_model``); backstop fits run uncapped.
+#: L-BFGS iteration cap of a warm end-model refit whose covered set is
+#: below the minibatch gate of ``_fit_end_model``; backstop fits run
+#: uncapped.
 WARM_END_ITER = 15
 
 
@@ -188,14 +186,6 @@ class IncrementalSessionEngine:
         self.full_refit_every = full_refit_every
         self.warm_after = warm_after
         self.warm_min_train = warm_min_train
-        self._end_model_accepts_max_iter = (
-            "max_iter" in inspect.signature(end_model.fit).parameters
-        )
-        self._end_model_accepts_minibatch = hasattr(end_model, "fit_minibatch")
-        self._end_model_snapshotable = hasattr(end_model, "state_dict") and hasattr(
-            end_model, "load_state_dict"
-        )
-        self._lm_accepts_stats: bool | None = None  # resolved on first refit
         # Warm end-model plumbing (ENGINE.md §7): the grow-only covered
         # feature buffer, the minibatch shuffle seed stream, and the
         # last-backstop coefficient anchor that keeps backstop fits
@@ -544,56 +534,32 @@ class IncrementalSessionEngine:
     def _backstop_due(self) -> bool:
         """The exact-semantics opt-outs plus the periodic backstop cadence.
 
-        Shared by both uncapped-fit conditions so the end-model cap can
-        never silently desynchronize from the label-model backstop.
+        On its own it decides whether the *end-model* fit is uncapped;
+        :meth:`_cold_refit_due` adds the low-LF clause for the label model.
+        That clause guards the label model's multimodal likelihood, while
+        the end models' losses are strictly convex: a capped warm L-BFGS
+        continuation is always on the path to the unique optimum, and
+        uncapping it through the early-LF regime was pure waste (100+
+        L-BFGS iterations per refit at large n).  One predicate for both
+        keeps the end-model cap in step with the label-model backstop.
         """
         if not self._warm_cadence_active():
             return True
         return self._refit_count % self.full_refit_every == 0
 
-    def _end_refit_uncapped_due(self) -> bool:
-        """Whether this refit's *end-model* fit must be uncapped.
+    def _fit_label_model(self, votes: VoteMatrix, previous):
+        """Fresh label model fitted on ``votes``, warm-seeded when allowed.
 
-        Same opt-outs and backstop cadence as :meth:`_cold_refit_due`, but
-        **without** the low-LF (``warm_after``) clause: that guard exists
-        for the label model's multimodal likelihood, while the end models'
-        losses are strictly convex — a capped warm L-BFGS continuation is
-        always on the path to the unique optimum, and the periodic
-        uncapped fit at the backstop cadence bounds the truncation drift.
-        Uncapping the convex fit through the early-LF regime was pure
-        waste (100+ L-BFGS iterations per refit at large n).
-        """
-        return self._backstop_due()
-
-    def _label_model_accepts_stats(self, model) -> bool:
-        if self._lm_accepts_stats is None:
-            self._lm_accepts_stats = accepts_stats(model)
-        return self._lm_accepts_stats
-
-    def _fit_label_model(self, L: np.ndarray, previous, stats=None):
-        """Fresh label model fitted on ``L``, warm-seeded when allowed.
-
-        ``stats`` is the vote matrix's sufficient-statistics handle; it is
-        forwarded to models that accept it, so warm and cold fits alike
-        skip the redundant re-validation scan and run every EM iteration
-        on the O(nnz) kernels (ENGINE.md §10).
+        The model gets the matrix's sufficient-statistics handle, so warm
+        and cold fits alike skip the redundant re-validation scan and the
+        EM models run every iteration on the O(nnz) kernels (ENGINE.md §10).
         """
         model = self.label_model_factory()
-        kwargs = (
-            {"stats": stats}
-            if stats is not None and self._label_model_accepts_stats(model)
-            else {}
-        )
         if self._cold_warranted_ or previous is None or type(previous) is not type(model):
-            model.fit(L, **kwargs)
+            model.fit(votes.values, stats=votes.stats)
         else:
-            model.fit_warm(L, previous, max_iter=WARM_LABEL_ITER, **kwargs)
+            model.fit_warm(votes.values, previous, max_iter=WARM_LABEL_ITER, stats=votes.stats)
         return model
-
-    def _predict_label_model(self, model, L: np.ndarray, stats=None) -> np.ndarray:
-        if stats is not None and self._label_model_accepts_stats(model):
-            return model.predict_proba(L, stats=stats)
-        return model.predict_proba(L)
 
     def _refit(self) -> tuple[dict, dict | None]:
         """Refit the label model, the selection view and the end model.
@@ -607,21 +573,16 @@ class IncrementalSessionEngine:
         """
         t0 = time.perf_counter()
         self._cold_warranted_ = self._cold_refit_due()
-        self._end_uncapped_ = self._end_refit_uncapped_due()
+        self._end_uncapped_ = self._backstop_due()
         self._refit_count += 1
         tc = time.perf_counter()
         votes = self._effective_votes()
         contextualize = time.perf_counter() - tc
         refined = self.contextualizer is not None
-        model = self._fit_label_model(votes.values, self.label_model_, votes.stats)
+        model = self._fit_label_model(votes, self.label_model_)
         label_fit_seconds = time.perf_counter() - t0
         self.label_model_ = model
-        # Refined soft labels come from the dense posterior: the stats
-        # kernel agrees with it only to float tolerance, and the
-        # contextualized goldens pin the dense one.
-        self.soft_labels = self._predict_label_model(
-            model, votes.values, None if refined else votes.stats
-        )
+        self.soft_labels = model.predict_proba(votes.values, stats=votes.stats)
         self.entropies = self.convention.posterior_entropy(self.soft_labels)
         self._refit_selection_view(refined)
         t1 = time.perf_counter()
@@ -707,10 +668,9 @@ class IncrementalSessionEngine:
         """
         if self._end_anchor_ is None:
             return
-        keep_rng = getattr(self.end_model, "mb_rng_state_", None)
+        keep_rng = self.end_model.mb_rng_state_
         self.end_model.load_state_dict(self._end_anchor_)
-        if keep_rng is not None:
-            self.end_model.mb_rng_state_ = keep_rng
+        self.end_model.mb_rng_state_ = keep_rng
 
     def _fit_end_model(self, covered: np.ndarray, refined: bool) -> str:
         """Route one end-model refit: backstop, warm-capped, or minibatch.
@@ -722,9 +682,8 @@ class IncrementalSessionEngine:
         buffer through the end model's ``fit_minibatch``; refined
         (contextualized) coverage is not monotone, so those sessions keep
         the exact slice as input even for minibatch fits.  A warm refit
-        falls back to the L-BFGS fit capped at :data:`WARM_END_ITER` when
-        the end model has no ``fit_minibatch`` or the covered set is below
-        the gate described next.
+        below the covered-row gate described next runs the L-BFGS fit
+        capped at :data:`WARM_END_ITER` instead.
 
         Like warm starts themselves, stochastic refits are a *scale*
         feature: on a small covered set a "minibatch" is just full-batch
@@ -737,7 +696,6 @@ class IncrementalSessionEngine:
         use_minibatch = (
             not self._end_uncapped_
             and self._end_model_fitted
-            and self._end_model_accepts_minibatch
             and int(covered.sum()) >= max(min(self.warm_min_train, MINIBATCH_MIN_COVERED), 1)
         )
         if use_minibatch:
@@ -751,12 +709,8 @@ class IncrementalSessionEngine:
         idx = np.flatnonzero(covered)
         X_covered = self.dataset.train.X[idx]
         targets = self.soft_labels[covered]
-        if self._end_uncapped_ or not self._end_model_accepts_max_iter:
-            anchored = (
-                self._end_uncapped_
-                and self._warm_cadence_active()
-                and self._end_model_snapshotable
-            )
+        if self._end_uncapped_:
+            anchored = self._warm_cadence_active()
             if anchored:
                 self._restore_end_anchor()
             self.end_model.fit(X_covered, targets)
@@ -805,12 +759,10 @@ class IncrementalSessionEngine:
             self.selection_entropies = None
             self._selection_model_ = None
             return
-        stats = self._L_train.stats  # the selection view always fits raw votes
-        raw_model = self._fit_label_model(self.L_train, self._selection_model_, stats)
+        raw = self._L_train  # the selection view always fits raw votes
+        raw_model = self._fit_label_model(raw, self._selection_model_)
         self._selection_model_ = raw_model
-        self.selection_soft_labels = self._predict_label_model(
-            raw_model, self.L_train, stats
-        )
+        self.selection_soft_labels = raw_model.predict_proba(raw.values, stats=raw.stats)
         self.selection_entropies = self.convention.posterior_entropy(
             self.selection_soft_labels
         )

@@ -31,7 +31,7 @@ from repro.core.engine import IncrementalSessionEngine
 from repro.core.lf import PrimitiveLF
 from repro.core.selection import DevDataSelector, SessionState
 from repro.data.dataset import FeaturizedDataset
-from repro.endmodel.logistic import SoftLabelLogisticRegression
+from repro.endmodel.linear import SoftLabelLinearModel
 from repro.labelmodel.base import LabelModel
 from repro.utils.rng import ensure_rng
 
@@ -115,9 +115,13 @@ class DataProgrammingSession(IncrementalSessionEngine, InteractiveMethod):
         convention's aggregator with the dataset's class prior (MeTaL, the
         paper's default, for binary data).
     end_model:
-        Soft-label classifier; defaults to the convention's end model
-        (logistic regression, which the paper fixes for all methods, or
-        its softmax generalization).
+        Soft-label classifier, a
+        :class:`~repro.endmodel.linear.SoftLabelLinearModel`: the engine
+        calls its ``fit`` (with ``max_iter=`` on warm refits),
+        ``fit_minibatch`` and ``state_dict``/``load_state_dict``
+        directly.  Defaults to the convention's end model (logistic
+        regression, which the paper fixes for all methods, or its softmax
+        generalization).
     contextualizer:
         Optional :class:`~repro.core.contextualizer.LFContextualizer`;
         ``None`` gives the *standard* (uncontextualized) learning pipeline.
@@ -142,7 +146,7 @@ class DataProgrammingSession(IncrementalSessionEngine, InteractiveMethod):
         selector: DevDataSelector,
         user: LFDeveloper,
         label_model_factory: Callable[[], LabelModel] | None = None,
-        end_model: SoftLabelLogisticRegression | None = None,
+        end_model: SoftLabelLinearModel | None = None,
         contextualizer: LFContextualizer | None = None,
         percentile_tuner: PercentileTuner | None = None,
         tune_every: int = 5,

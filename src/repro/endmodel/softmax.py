@@ -62,6 +62,8 @@ class SoftLabelSoftmaxRegression(SoftLabelLinearModel):
         K = self.n_classes
         Q = np.asarray(targets, dtype=float)
         if Q.ndim == 1:
+            if not np.all(np.isfinite(Q)) or np.any(Q != np.round(Q)):
+                raise ValueError("hard labels must be finite integers")
             y = Q.astype(int)
             if np.any(y < 0) or np.any(y >= K):
                 raise ValueError(f"hard labels must lie in [0, {K}), got values outside")

@@ -8,12 +8,11 @@ of :mod:`repro.multiclass`.  Both share :class:`BaseLabelModel`.
 
 from __future__ import annotations
 
-import inspect
 from abc import ABC, abstractmethod
 
 import numpy as np
 
-from repro.labelmodel.matrix import ColumnStats, validate_label_matrix
+from repro.labelmodel.matrix import ABSTAIN, ColumnStats, VoteMatrix, validate_label_matrix
 from repro.utils.state import FittedStateMixin
 
 
@@ -28,18 +27,28 @@ class BaseLabelModel(FittedStateMixin, ABC):
     receive the class prior.  The contextualized pipeline (paper Sec. 4.3)
     is deliberately *model-agnostic*: any subclass can be dropped into Nemo.
 
+    Every entry point — :meth:`fit`, :meth:`fit_warm` and
+    :meth:`predict_proba` — takes an optional ``stats=`` handle
+    (:class:`~repro.labelmodel.matrix.ColumnStats`) describing ``L``; the
+    engine always passes its vote matrix's handle, so it calls every
+    model the same way.  A model uses the handle at least to skip
+    re-validating votes the matrix validated on append.
+
     All subclasses inherit declarative fitted-state capture
     (:class:`~repro.utils.state.FittedStateMixin`): the attributes listed
     in ``_FITTED_ATTRS`` are what a session checkpoint persists for the
     model (hyperparameters are reconstructed by the session's factory).
     """
 
+    #: The abstain sentinel of the model's vote alphabet.
+    abstain: int
+
     @abstractmethod
-    def fit(self, L: np.ndarray) -> "BaseLabelModel":
+    def fit(self, L: np.ndarray, stats: ColumnStats | None = None) -> "BaseLabelModel":
         """Estimate source parameters from the vote matrix."""
 
     @abstractmethod
-    def predict_proba(self, L: np.ndarray) -> np.ndarray:
+    def predict_proba(self, L: np.ndarray, stats: ColumnStats | None = None) -> np.ndarray:
         """Posterior over the labels for every example (see class doc)."""
 
     @abstractmethod
@@ -51,6 +60,7 @@ class BaseLabelModel(FittedStateMixin, ABC):
         L: np.ndarray,
         previous: "BaseLabelModel | None" = None,
         max_iter: int | None = None,
+        stats: ColumnStats | None = None,
     ) -> "BaseLabelModel":
         """Fit, optionally warm-starting from a previously fitted model.
 
@@ -63,11 +73,12 @@ class BaseLabelModel(FittedStateMixin, ABC):
         both hints and performs a full fit; subclasses with iterative
         fitting override this to seed from the previous solution.
         """
-        return self.fit(L)
+        return self.fit(L, stats=stats)
 
     def fit_predict_proba(self, L: np.ndarray) -> np.ndarray:
-        """``fit(L)`` then ``predict_proba(L)``."""
-        return self.fit(L).predict_proba(L)
+        """``fit(L)`` then ``predict_proba(L)``, sharing one stats handle."""
+        L, stats = self._votes_and_stats(L, None)
+        return self.fit(L, stats=stats).predict_proba(L, stats=stats)
 
     def _validated_or_stats(self, L: np.ndarray, stats: ColumnStats | None) -> np.ndarray:
         """Validate ``L``, or accept it under a matching stats handle.
@@ -88,18 +99,22 @@ class BaseLabelModel(FittedStateMixin, ABC):
             )
         return L
 
+    def _votes_and_stats(
+        self, L: np.ndarray, stats: ColumnStats | None
+    ) -> tuple[np.ndarray, ColumnStats]:
+        """``L`` and a stats handle that matches it, for the O(nnz) kernels.
 
-def accepts_stats(model) -> bool:
-    """Whether ``model``'s ``fit``, ``fit_warm`` and ``predict_proba`` take ``stats=``.
-
-    Such a model can be handed a vote matrix's sufficient-statistics
-    handle (:class:`~repro.labelmodel.matrix.ColumnStats`) instead of
-    rescanning the dense votes.
-    """
-    return all(
-        "stats" in inspect.signature(getattr(model, name)).parameters
-        for name in ("fit", "fit_warm", "predict_proba")
-    )
+        A passed handle is checked by :meth:`_validated_or_stats`.
+        Without one, ``L`` is validated and copied into a
+        :class:`VoteMatrix` by one dense scan, and that matrix's view and
+        handle are returned.  The handle's structure is canonical, so
+        everything computed from it is bit-identical to what the live
+        handle of the same votes gives.
+        """
+        if stats is not None:
+            return self._validated_or_stats(L, stats), stats
+        votes = VoteMatrix.from_dense(self._validated(L), abstain=self.abstain)
+        return votes.values, votes.stats
 
 
 class LabelModel(BaseLabelModel):
@@ -115,6 +130,8 @@ class LabelModel(BaseLabelModel):
         ``P(y = +1)``.  Fixed (not learned) unless a subclass says
         otherwise, mirroring how class balance is supplied to MeTaL.
     """
+
+    abstain = ABSTAIN
 
     def __init__(self, class_prior: float = 0.5) -> None:
         if not 0.0 < class_prior < 1.0:

@@ -13,9 +13,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.labelmodel.base import LabelModel
-from repro.labelmodel.matrix import ColumnStats, column_stats_from_dense
+from repro.labelmodel.matrix import ColumnStats
 
-_OUTCOMES = (-1, 0, 1)
 _SMOOTH = 0.1
 
 
@@ -72,15 +71,13 @@ class DawidSkene(LabelModel):
         here by one dense scan, and fits are bit-identical whichever way
         the handle was obtained.
         """
-        L = self._validated_or_stats(L, stats)
+        L, stats = self._votes_and_stats(L, stats)
         if L.shape[1] == 0:
             self.confusion_ = np.zeros((0, 2, 3))
             self.prior_ = self.class_prior
             self.converged_ = True
             self.em_iterations_ = 0
             return self
-        if stats is None:
-            stats = column_stats_from_dense(L, abstain=0)
         self._em_loop(stats, self._majority_posterior(stats), self.n_iter)
         return self
 
@@ -101,19 +98,15 @@ class DawidSkene(LabelModel):
         here by a single dense scan — bit-identical either way).  Falls
         back to a cold :meth:`fit` whenever the previous model is unusable.
         """
+        L, stats = self._votes_and_stats(L, stats)
         usable = (
             type(previous) is type(self)
             and getattr(previous, "confusion_", None) is not None
-            and previous.confusion_.shape[0] > 0
+            and 0 < previous.confusion_.shape[0] <= L.shape[1]
+            and L.shape[0] > 0
         )
         if not usable:
             return self.fit(L, stats=stats)
-        L = self._validated_or_stats(L, stats)
-        m_prev = previous.confusion_.shape[0]
-        if L.shape[0] == 0 or L.shape[1] == 0 or L.shape[1] < m_prev:
-            return self.fit(L, stats=stats)
-        if stats is None:
-            stats = column_stats_from_dense(L, abstain=0)
         q = self._e_step_stats(stats, previous.confusion_, previous.prior_)
         n_iter = self.n_iter if max_iter is None else max(1, min(self.n_iter, int(max_iter)))
         # As in the other models' warm fits, the *initial* class-balance
@@ -175,14 +168,13 @@ class DawidSkene(LabelModel):
     ) -> np.ndarray:
         """``P(y=+1 | L_i)`` under the fitted confusions.
 
-        The kernel follows the handle: with ``stats`` (which also skips
-        the dense re-validation scan) the O(nnz) table-driven E-step runs;
-        without one the dense E-step runs on ``L`` directly.  The two agree
-        to float tolerance, not bitwise.
+        One kernel, the O(nnz) table-driven E-step, on ``stats`` (which
+        also skips the dense re-validation scan) or on a handle built here
+        by one scan of ``L``.  Both give the same bytes.
         """
         if self.confusion_ is None:
             raise RuntimeError("DawidSkene.predict_proba called before fit")
-        L = self._validated_or_stats(L, stats)
+        L, stats = self._votes_and_stats(L, stats)
         if L.shape[1] != self.confusion_.shape[0]:
             raise ValueError(
                 f"label matrix has {L.shape[1]} LFs but model was fitted with "
@@ -190,9 +182,7 @@ class DawidSkene(LabelModel):
             )
         if L.shape[1] == 0:
             return np.full(L.shape[0], self.prior_)
-        if stats is not None:
-            return self._e_step_stats(stats, self.confusion_, self.prior_)
-        return self._e_step_dense(L, self.confusion_, self.prior_)
+        return self._e_step_stats(stats, self.confusion_, self.prior_)
 
     # ------------------------------------------------------------------ #
     # EM internals
@@ -221,7 +211,7 @@ class DawidSkene(LabelModel):
     def _e_step_stats(
         stats: ColumnStats, confusion: np.ndarray, prior: float
     ) -> np.ndarray:
-        """O(nnz) table-driven posterior.
+        """O(nnz) table-driven posterior ``P(y=+1 | L_i)``.
 
         Every row starts from the all-abstain log-likelihood
         (``Σ_j log P(λ_j = 0 | y)`` per class); fired entries contribute a
@@ -249,20 +239,6 @@ class DawidSkene(LabelModel):
             ll[:, c] = base[c] + np.bincount(
                 rows, weights=contrib[:, c], minlength=stats.n_rows
             )
-        ll[:, 0] += np.log(1 - prior)
-        ll[:, 1] += np.log(prior)
-        ll -= ll.max(axis=1, keepdims=True)
-        probs = np.exp(ll)
-        return probs[:, 1] / probs.sum(axis=1)
-
-    @staticmethod
-    def _e_step_dense(L: np.ndarray, confusion: np.ndarray, prior: float) -> np.ndarray:
-        log_conf = np.log(np.clip(confusion, 1e-12, None))  # (m, 2, 3)
-        n = L.shape[0]
-        ll = np.zeros((n, 2))
-        for o_idx, outcome in enumerate(_OUTCOMES):
-            mask = (L == outcome).astype(float)  # (n, m)
-            ll += mask @ log_conf[:, :, o_idx]  # accumulate per-class log-lik
         ll[:, 0] += np.log(1 - prior)
         ll[:, 1] += np.log(prior)
         ll -= ll.max(axis=1, keepdims=True)

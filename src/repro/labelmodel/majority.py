@@ -9,6 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.labelmodel.base import LabelModel
+from repro.labelmodel.matrix import ColumnStats
 
 
 class MajorityVote(LabelModel):
@@ -32,13 +33,13 @@ class MajorityVote(LabelModel):
             raise ValueError(f"smoothing must be >= 0, got {smoothing}")
         self.smoothing = smoothing
 
-    def fit(self, L: np.ndarray) -> "MajorityVote":
+    def fit(self, L: np.ndarray, stats: ColumnStats | None = None) -> "MajorityVote":
         """No parameters to estimate; validates ``L`` and returns self."""
-        self._validated(L)
+        self._validated_or_stats(L, stats)
         return self
 
-    def predict_proba(self, L: np.ndarray) -> np.ndarray:
-        L = self._validated(L)
+    def predict_proba(self, L: np.ndarray, stats: ColumnStats | None = None) -> np.ndarray:
+        L = self._validated_or_stats(L, stats)
         pos = (L == 1).sum(axis=1).astype(float)
         neg = (L == -1).sum(axis=1).astype(float)
         total = pos + neg

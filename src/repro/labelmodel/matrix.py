@@ -420,11 +420,15 @@ class ColumnStats:
         return self._vm.abstain
 
     def matches(self, L: np.ndarray) -> bool:
-        """Whether ``L`` is the live dense view of this handle's matrix."""
+        """Whether ``L`` is the live dense view of this handle's matrix.
+
+        An empty ``L`` holds no votes, so one of the right shape matches
+        (it can share no memory with the buffer).
+        """
         return (
             isinstance(L, np.ndarray)
             and L.shape == (self._vm.n_rows, self._vm.m)
-            and np.shares_memory(L, self._vm._buf)
+            and (L.size == 0 or np.shares_memory(L, self._vm._buf))
         )
 
     # -- per-column structure ------------------------------------------ #
@@ -598,13 +602,12 @@ class ColumnStats:
 def column_stats_from_dense(L: np.ndarray, abstain: int = ABSTAIN) -> ColumnStats:
     """A detached :class:`ColumnStats` built by scanning a dense matrix once.
 
-    The fallback for fits reached without a handle (hand-built matrices):
-    one O(n·m) scan, after which all EM iterations run on the O(nnz)
-    path.  Engine sessions never reach it: raw and contextualizer-refined
-    votes both live in a :class:`VoteMatrix` whose handle is passed.  The
-    structure (ascending row order per column) is identical to what the
-    live :class:`VoteMatrix` maintains, so fits are bit-identical either
-    way.
+    The handle of a hand-built matrix: one O(n·m) scan.  Label models
+    called without a handle build theirs the same way
+    (``BaseLabelModel._votes_and_stats``, which also keeps the matrix
+    view the handle describes).  The structure (ascending row order per
+    column) is identical to what the live :class:`VoteMatrix`
+    maintains, so results are bit-identical either way.
     """
     return VoteMatrix.from_dense(L, abstain=abstain).stats
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.labelmodel.base import LabelModel
-from repro.labelmodel.matrix import ColumnStats, column_stats_from_dense
+from repro.labelmodel.matrix import ColumnStats
 
 _ACC_FLOOR = 0.05
 _ACC_CEIL = 0.95
@@ -154,7 +154,7 @@ class MetalLabelModel(LabelModel):
         here by one dense scan, and fits are bit-identical whichever way
         the handle was obtained (the structure is canonical either way).
         """
-        L = self._validated_or_stats(L, stats)
+        L, stats = self._votes_and_stats(L, stats)
         self.prior_ = self.class_prior
         self.em_iterations_ = 0
         if L.shape[1] == 0 or L.shape[0] == 0:
@@ -162,8 +162,6 @@ class MetalLabelModel(LabelModel):
             self.propensities_ = np.zeros((0, 2))
             self.converged_ = True
             return self
-        if stats is None:
-            stats = column_stats_from_dense(L, abstain=0)
         self._fit_from_posterior(stats, self._majority_posterior(stats))
         return self
 
@@ -189,26 +187,20 @@ class MetalLabelModel(LabelModel):
         whenever the previous model is unusable (unfitted, different
         class, or the vote matrix shrank).
 
-        Warm fits always run on the incremental sufficient-statistics path:
-        every EM iteration reads the per-column fire structure (the
-        ``stats`` handle threaded from the engine, or one built here by a
-        single scan of ``L``) instead of re-deriving ``(L != 0)`` masks
-        from the dense matrix — O(nnz) per iteration instead of O(n·m),
-        and bit-identical whichever way the handle was obtained.
+        Warm fits run on the same O(nnz) sufficient-statistics kernels
+        as cold ones, on the ``stats`` handle threaded from the engine or
+        one built here by a single scan of ``L`` — bit-identical either
+        way.
         """
+        L, stats = self._votes_and_stats(L, stats)
         usable = (
             type(previous) is type(self)
             and getattr(previous, "accuracies_", None) is not None
-            and previous.accuracies_.size > 0
+            and 0 < previous.accuracies_.size <= L.shape[1]
+            and L.shape[0] > 0
         )
         if not usable:
             return self.fit(L, stats=stats)
-        L = self._validated_or_stats(L, stats)
-        m_prev = previous.accuracies_.shape[0]
-        if L.shape[0] == 0 or L.shape[1] == 0 or L.shape[1] < m_prev:
-            return self.fit(L, stats=stats)
-        if stats is None:
-            stats = column_stats_from_dense(L, abstain=0)
         self.prior_ = self.class_prior
         # The class balance must be estimated exactly as a cold fit does —
         # from the *smoothed majority* posterior, not the previous E-step
@@ -343,15 +335,14 @@ class MetalLabelModel(LabelModel):
     ) -> np.ndarray:
         """``P(y=+1 | L_i)`` per example.
 
-        The kernel follows the handle: with ``stats`` (a matching handle,
-        which also skips the dense re-validation scan) the posterior runs
-        on the O(nnz) table-driven kernel; without one it runs on the dense
-        matrix directly, which is cheaper than building a handle for a
-        single pass.  The two agree to float tolerance, not bitwise.
+        One kernel, the O(nnz) table-driven posterior, on ``stats`` (a
+        matching handle, which also skips the dense re-validation scan)
+        or on a handle built here by one scan of ``L``.  Both give the
+        same bytes.
         """
         if self.accuracies_ is None or self.propensities_ is None:
             raise RuntimeError("MetalLabelModel.predict_proba called before fit")
-        L = self._validated_or_stats(L, stats)
+        L, stats = self._votes_and_stats(L, stats)
         if L.shape[1] != len(self.accuracies_):
             raise ValueError(
                 f"label matrix has {L.shape[1]} LFs but model was fitted with "
@@ -359,46 +350,12 @@ class MetalLabelModel(LabelModel):
             )
         if L.shape[1] == 0:
             return np.full(L.shape[0], self.prior_)
-        if stats is not None:
-            return self._posterior_stats(
-                stats,
-                self.accuracies_,
-                self.propensities_,
-                with_abstain=self.abstain_evidence,
-            )
-        return self._posterior_dense(
-            L,
+        return self._posterior_stats(
+            stats,
             self.accuracies_,
             self.propensities_,
             with_abstain=self.abstain_evidence,
         )
-
-    def _posterior_dense(
-        self,
-        L: np.ndarray,
-        acc: np.ndarray,
-        rho: np.ndarray,
-        with_abstain: bool = True,
-    ) -> np.ndarray:
-        """``P(y=+1 | L_i)`` under parameters ``(acc, rho, prior_)``.
-
-        Log-odds decompose into a vote term (accuracy log-odds per vote), a
-        fire-evidence term (propensity log-ratio of firing LFs), and — when
-        ``with_abstain`` — an abstain-evidence term.  The E-step always uses
-        the full model; inference drops the abstain term by default (see the
-        class docstring).
-        """
-        Lf = L.astype(float)
-        fires = (L != 0).astype(float)
-        vote_weight = np.log(acc / (1 - acc))
-        rho_neg = rho[:, 0]
-        rho_pos = rho[:, 1]
-        fire_evidence = np.log(rho_pos / rho_neg)
-        scores = _logit(self.prior_) + Lf @ vote_weight + fires @ fire_evidence
-        if with_abstain:
-            abstain_evidence = np.log((1 - rho_pos) / (1 - rho_neg))
-            scores = scores + (1 - fires) @ abstain_evidence
-        return _sigmoid(scores)
 
     def _posterior_stats(
         self,
@@ -407,7 +364,13 @@ class MetalLabelModel(LabelModel):
         rho: np.ndarray,
         with_abstain: bool = True,
     ) -> np.ndarray:
-        """The O(nnz) twin of :meth:`_posterior_dense` (table-driven E-step).
+        """``P(y=+1 | L_i)`` under parameters ``(acc, rho, prior_)``, in O(nnz).
+
+        Log-odds decompose into a vote term (accuracy log-odds per vote), a
+        fire-evidence term (propensity log-ratio of firing LFs), and — when
+        ``with_abstain`` — an abstain-evidence term.  The E-step always uses
+        the full model; inference drops the abstain term by default (see the
+        class docstring).
 
         Votes take two non-abstain values, so each entry's log-odds
         contribution collapses into one of two per-column table rows built
@@ -444,26 +407,3 @@ class MetalLabelModel(LabelModel):
         contrib = np.where(values == 1, table_plus[cols], table_minus[cols])
         scores = base + np.bincount(rows, weights=contrib, minlength=stats.n_rows)
         return _sigmoid(scores)
-
-    def _marginal_ll(self, L: np.ndarray) -> float:
-        """Marginal log-likelihood under the fitted parameters (diagnostics)."""
-        if self.accuracies_ is None or self.propensities_ is None:
-            raise RuntimeError("model is not fitted")
-        acc = self.accuracies_
-        rho = self.propensities_
-        fires = L != 0
-        log_p = np.zeros((L.shape[0], 2))
-        for c_idx, y in enumerate((-1, 1)):
-            r = rho[:, c_idx]
-            p_vote_correct = r * acc
-            p_vote_wrong = r * (1 - acc)
-            p_correct_vote = np.where(np.sign(y) == 1, L == 1, L == -1)
-            p_wrong_vote = np.where(np.sign(y) == 1, L == -1, L == 1)
-            log_p[:, c_idx] = (
-                p_correct_vote @ np.log(p_vote_correct)
-                + p_wrong_vote @ np.log(p_vote_wrong)
-                + (~fires) @ np.log(1 - r)
-            )
-        log_p[:, 0] += np.log(1 - self.prior_)
-        log_p[:, 1] += np.log(self.prior_)
-        return float(np.logaddexp(log_p[:, 0], log_p[:, 1]).sum())

@@ -16,6 +16,7 @@ import itertools
 import numpy as np
 
 from repro.labelmodel.base import LabelModel
+from repro.labelmodel.matrix import ColumnStats
 
 _MU_CLIP = 0.90  # keep implied accuracies away from 0/1
 _MIN_MOMENT = 1e-3
@@ -63,8 +64,8 @@ class TripletLabelModel(LabelModel):
 
     _FITTED_ATTRS = ("accuracies_",)
 
-    def fit(self, L: np.ndarray) -> "TripletLabelModel":
-        L = self._validated(L).astype(float)
+    def fit(self, L: np.ndarray, stats: ColumnStats | None = None) -> "TripletLabelModel":
+        L = self._validated_or_stats(L, stats).astype(float)
         n, m = L.shape
         if m == 0:
             self.accuracies_ = np.zeros(0)
@@ -81,10 +82,10 @@ class TripletLabelModel(LabelModel):
         self.accuracies_ = np.clip(acc, 0.05, 0.95)
         return self
 
-    def predict_proba(self, L: np.ndarray) -> np.ndarray:
+    def predict_proba(self, L: np.ndarray, stats: ColumnStats | None = None) -> np.ndarray:
         if self.accuracies_ is None:
             raise RuntimeError("TripletLabelModel.predict_proba called before fit")
-        L = self._validated(L)
+        L = self._validated_or_stats(L, stats)
         if L.shape[1] != len(self.accuracies_):
             raise ValueError(
                 f"label matrix has {L.shape[1]} LFs but model was fitted with "

@@ -14,7 +14,7 @@ import numpy as np
 
 from repro.labelmodel.base import BaseLabelModel
 from repro.labelmodel.matrix import check_n_classes
-from repro.multiclass.matrix import validate_mc_label_matrix
+from repro.multiclass.matrix import MC_ABSTAIN, validate_mc_label_matrix
 
 
 class MultiClassLabelModel(BaseLabelModel):
@@ -32,6 +32,8 @@ class MultiClassLabelModel(BaseLabelModel):
         ``(K,)`` prior ``P(y = k)``; uniform when omitted.  Fixed unless a
         subclass learns it.
     """
+
+    abstain = MC_ABSTAIN
 
     def __init__(self, n_classes: int, class_priors: np.ndarray | None = None) -> None:
         n_classes = check_n_classes(n_classes)

@@ -20,9 +20,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.labelmodel.matrix import ColumnStats, column_stats_from_dense
+from repro.labelmodel.matrix import ColumnStats
 from repro.multiclass.base import MultiClassLabelModel
-from repro.multiclass.matrix import MC_ABSTAIN
 
 _THETA_FLOOR = 1e-3
 _RHO_FLOOR = 1e-4
@@ -126,7 +125,7 @@ class MCDawidSkeneModel(MultiClassLabelModel):
         built here by one dense scan, and fits are bit-identical whichever
         way the handle was obtained.
         """
-        L = self._validated_or_stats(L, stats)
+        L, stats = self._votes_and_stats(L, stats)
         K = self.n_classes
         self.priors_ = self.class_priors.copy()
         if L.shape[1] == 0 or L.shape[0] == 0:
@@ -135,8 +134,6 @@ class MCDawidSkeneModel(MultiClassLabelModel):
             self.converged_ = True
             self.em_iterations_ = 0
             return self
-        if stats is None:
-            stats = column_stats_from_dense(L, abstain=MC_ABSTAIN)
         self._fit_from_posterior(stats, self._majority_posterior(stats))
         return self
 
@@ -155,26 +152,20 @@ class MCDawidSkeneModel(MultiClassLabelModel):
         ``max_iter`` optionally caps this call's EM iterations.  Falls
         back to a cold :meth:`fit` whenever the previous model is unusable.
 
-        Warm fits always run on the incremental sufficient-statistics path
-        (the ``stats`` handle threaded from the engine, or one built here
-        by a single dense scan — bit-identical either way): per-class
-        sparse mat-vecs replace every dense ``(L == k)`` mask, O(nnz·K)
-        per EM iteration instead of O(n·m·K).
+        Warm fits run on the same O(nnz·K) sufficient-statistics kernels
+        as cold ones, on the ``stats`` handle threaded from the engine or
+        one built here by a single dense scan — bit-identical either way.
         """
+        L, stats = self._votes_and_stats(L, stats)
         usable = (
             type(previous) is type(self)
             and getattr(previous, "confusions_", None) is not None
-            and previous.confusions_.shape[0] > 0
+            and 0 < previous.confusions_.shape[0] <= L.shape[1]
             and previous.n_classes == self.n_classes
+            and L.shape[0] > 0
         )
         if not usable:
             return self.fit(L, stats=stats)
-        L = self._validated_or_stats(L, stats)
-        m_prev = previous.confusions_.shape[0]
-        if L.shape[0] == 0 or L.shape[1] == 0 or L.shape[1] < m_prev:
-            return self.fit(L, stats=stats)
-        if stats is None:
-            stats = column_stats_from_dense(L, abstain=MC_ABSTAIN)
         priors = np.clip(previous.priors_, _PRIOR_FLOOR, None)
         self.priors_ = priors / priors.sum()
         Q_seed = self._posterior_stats(
@@ -282,14 +273,13 @@ class MCDawidSkeneModel(MultiClassLabelModel):
     ) -> np.ndarray:
         """``(n, K)`` posterior.
 
-        The kernel follows the handle: with ``stats`` (which also skips
-        the dense re-validation scan) the O(nnz·K) table-driven posterior
-        runs; without one the dense posterior runs on ``L`` directly.  The
-        two agree to float tolerance, not bitwise.
+        One kernel, the O(nnz·K) table-driven posterior, on ``stats``
+        (which also skips the dense re-validation scan) or on a handle
+        built here by one scan of ``L``.  Both give the same bytes.
         """
         if self.confusions_ is None or self.propensities_ is None:
             raise RuntimeError("MCDawidSkeneModel.predict_proba called before fit")
-        L = self._validated_or_stats(L, stats)
+        L, stats = self._votes_and_stats(L, stats)
         if L.shape[1] != self.confusions_.shape[0]:
             raise ValueError(
                 f"label matrix has {L.shape[1]} LFs but model was fitted with "
@@ -297,15 +287,11 @@ class MCDawidSkeneModel(MultiClassLabelModel):
             )
         if L.shape[1] == 0:
             return np.tile(self.priors_, (L.shape[0], 1))
-        if stats is not None:
-            return self._posterior_stats(
-                stats,
-                self.confusions_,
-                self.propensities_,
-                with_abstain=self.abstain_evidence,
-            )
-        return self._posterior_dense(
-            L, self.confusions_, self.propensities_, with_abstain=self.abstain_evidence
+        return self._posterior_stats(
+            stats,
+            self.confusions_,
+            self.propensities_,
+            with_abstain=self.abstain_evidence,
         )
 
     def _posterior_stats(
@@ -315,7 +301,7 @@ class MCDawidSkeneModel(MultiClassLabelModel):
         rho: np.ndarray,
         with_abstain: bool,
     ) -> np.ndarray:
-        """The O(nnz·K) twin of :meth:`_posterior_dense` (table-driven E-step).
+        """``P(y = k | L_i)`` under ``(theta, rho, priors_)``, in O(nnz·K).
 
         Every row starts from the all-abstain log-posterior (priors plus,
         with abstain evidence, ``Σ_j log(1 − ρ_j)``); each fired entry then
@@ -353,52 +339,3 @@ class MCDawidSkeneModel(MultiClassLabelModel):
         log_post -= log_post.max(axis=1, keepdims=True)
         post = np.exp(log_post)
         return post / post.sum(axis=1, keepdims=True)
-
-    def _posterior_dense(
-        self,
-        L: np.ndarray,
-        theta: np.ndarray,
-        rho: np.ndarray,
-        with_abstain: bool,
-    ) -> np.ndarray:
-        """``P(y = k | L_i)`` under parameters ``(theta, rho, priors_)``."""
-        n, m = L.shape
-        log_post = np.tile(np.log(self.priors_)[None, :], (n, 1))
-        log_theta = np.log(np.clip(theta, _THETA_FLOOR, 1.0))  # (m, K, K)
-        log_rho = np.log(rho)  # (m, K)
-        log_not_rho = np.log1p(-rho)
-        for j in range(m):
-            votes_j = L[:, j]
-            fired = votes_j != MC_ABSTAIN
-            if fired.any():
-                emitted = votes_j[fired].astype(int)
-                # evidence for class k: log ρ_j(k) + log Θ_j[k, emitted]
-                log_post[fired] += log_rho[j][None, :] + log_theta[j][:, emitted].T
-            if with_abstain and (~fired).any():
-                log_post[~fired] += log_not_rho[j][None, :]
-        log_post -= log_post.max(axis=1, keepdims=True)
-        post = np.exp(log_post)
-        return post / post.sum(axis=1, keepdims=True)
-
-    def marginal_ll(self, L: np.ndarray) -> float:
-        """Marginal log-likelihood under the fitted parameters (diagnostics)."""
-        if self.confusions_ is None or self.propensities_ is None:
-            raise RuntimeError("model is not fitted")
-        L = self._validated(L)
-        n, m = L.shape
-        log_joint = np.tile(np.log(self.priors_)[None, :], (n, 1))
-        log_theta = np.log(np.clip(self.confusions_, _THETA_FLOOR, 1.0))
-        log_rho = np.log(self.propensities_)
-        log_not_rho = np.log1p(-self.propensities_)
-        for j in range(m):
-            votes_j = L[:, j]
-            fired = votes_j != MC_ABSTAIN
-            if fired.any():
-                emitted = votes_j[fired].astype(int)
-                log_joint[fired] += log_rho[j][None, :] + log_theta[j][:, emitted].T
-            if (~fired).any():
-                log_joint[~fired] += log_not_rho[j][None, :]
-        max_row = log_joint.max(axis=1, keepdims=True)
-        return float(
-            (max_row.ravel() + np.log(np.exp(log_joint - max_row).sum(axis=1))).sum()
-        )

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.labelmodel.matrix import ColumnStats
 from repro.multiclass.base import MultiClassLabelModel
 from repro.multiclass.matrix import mc_vote_counts
 
@@ -41,13 +42,13 @@ class MCMajorityVote(MultiClassLabelModel):
             raise ValueError(f"smoothing must be >= 0, got {smoothing}")
         self.smoothing = smoothing
 
-    def fit(self, L: np.ndarray) -> "MCMajorityVote":
+    def fit(self, L: np.ndarray, stats: ColumnStats | None = None) -> "MCMajorityVote":
         """Majority vote has no parameters; validates the matrix only."""
-        self._validated(L)
+        self._validated_or_stats(L, stats)
         return self
 
-    def predict_proba(self, L: np.ndarray) -> np.ndarray:
-        L = self._validated(L)
+    def predict_proba(self, L: np.ndarray, stats: ColumnStats | None = None) -> np.ndarray:
+        L = self._validated_or_stats(L, stats)
         proba = np.tile(self.class_priors, (L.shape[0], 1))
         counts = mc_vote_counts(L, self.n_classes)
         covered = counts.sum(axis=1) > 0

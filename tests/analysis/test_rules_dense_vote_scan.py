@@ -64,6 +64,41 @@ class TestDenseScanViolations:
         )
         assert len(report.findings) == 1
 
+    def test_dense_suffix_posterior_is_flagged(self, lint_tree):
+        # A *_dense name no longer exempts a scan: each EM model has one
+        # posterior kernel, and the dense one lives in benchmarks/.
+        report = _lint(
+            lint_tree,
+            {
+                "src/repro/labelmodel/new_model.py": """
+                def _posterior_dense(L):
+                    fires = (L != 0).astype(float)
+                    return fires
+                """
+            },
+        )
+        assert len(report.findings) == 1
+
+    def test_marginal_ll_oracle_is_flagged(self, lint_tree):
+        # Test-only oracles live in tests/, so the EM modules get no
+        # diagnostic exemption.
+        report = _lint(
+            lint_tree,
+            {
+                "src/repro/multiclass/dawid_skene.py": """
+                class Model:
+                    def marginal_ll(self, L):
+                        fires = L != MC_ABSTAIN
+                        return fires.sum()
+
+                    def _marginal_ll(self, L):
+                        fires = L != 0
+                        return fires.sum()
+                """
+            },
+        )
+        assert len(report.findings) == 2
+
 
 class TestDenseScanExemptions:
     def test_scalar_guard_never_fires(self, lint_tree):
@@ -82,18 +117,6 @@ class TestDenseScanExemptions:
         )
         assert report.findings == []
 
-    def test_dense_suffix_oracle_is_exempt(self, lint_tree):
-        report = _lint(
-            lint_tree,
-            {
-                "src/repro/labelmodel/new_model.py": """
-                def _posterior_dense(L):
-                    fires = (L != 0).astype(float)
-                    return fires
-                """
-            },
-        )
-        assert report.findings == []
 
     def test_designated_diagnostics_helper_is_exempt(self, lint_tree):
         report = _lint(
@@ -107,19 +130,6 @@ class TestDenseScanExemptions:
         )
         assert report.findings == []
 
-    def test_marginal_ll_oracle_is_exempt(self, lint_tree):
-        report = _lint(
-            lint_tree,
-            {
-                "src/repro/labelmodel/new_model.py": """
-                class Model:
-                    def _marginal_ll(self, L):
-                        fires = L != 0
-                        return fires.sum()
-                """
-            },
-        )
-        assert report.findings == []
 
     def test_dense_only_models_are_exempt(self, lint_tree):
         report = _lint(

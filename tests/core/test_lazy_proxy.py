@@ -14,6 +14,7 @@ import numpy as np
 from repro.core.selection import SessionState
 from repro.core.session import DataProgrammingSession
 from repro.core.seu import SEUSelector
+from repro.endmodel.logistic import SoftLabelLogisticRegression
 from repro.interactive.basic_selectors import RandomSelector
 from repro.interactive.simulated_user import SimulatedUser
 
@@ -48,23 +49,16 @@ def step_against_reference(session, n_steps):
     return deferred
 
 
-class CountingEndModel:
-    """Wraps an end model, counting full predict_proba calls on train X."""
+class CountingEndModel(SoftLabelLogisticRegression):
+    """The stock logistic end model, counting its ``predict_proba`` calls."""
 
-    def __init__(self, inner):
-        self.inner = inner
+    def __init__(self):
+        super().__init__()
         self.predict_calls = 0
-
-    def fit(self, X, soft_labels, max_iter=None):
-        self.inner.fit(X, soft_labels, max_iter=max_iter)
-        return self
 
     def predict_proba(self, X):
         self.predict_calls += 1
-        return self.inner.predict_proba(X)
-
-    def predict(self, X):
-        return self.inner.predict(X)
+        return super().predict_proba(X)
 
 
 class TestLazyProxy:
@@ -114,9 +108,7 @@ class TestLazyProxy:
     def test_non_reading_selector_skips_prediction_between_backstops(
         self, tiny_dataset
     ):
-        from repro.endmodel.logistic import SoftLabelLogisticRegression
-
-        counting = CountingEndModel(SoftLabelLogisticRegression())
+        counting = CountingEndModel()
         session = make_session(
             tiny_dataset, warm_min_train=0, warm_after=2, end_model=counting
         )

@@ -1,10 +1,12 @@
 """No defeat switches: each step's code path follows observable inputs.
 
-ENGINE.md §2: the label-model kernel follows the stats handle the caller
-passes, the warm end-model refit follows the end model's capabilities
-and the covered-row gate, and the proxy refresh follows the refit path.
-None of them is a constructor setting, so a knob that forces a second
-code path must not come back.  Each retired knob is pinned here: passing
+ENGINE.md §2: each label model has one posterior kernel, the warm
+end-model refit follows the covered-row gate, and the proxy refresh
+follows the refit path.  None of them is a constructor setting, and the
+engine probes no model for capabilities: it calls every label model with
+``stats=`` and the end model through the ``SoftLabelLinearModel``
+contract.  So a knob, a dense twin or a capability probe that forces a
+second code path must not come back.  Each retired knob is pinned here: passing
 it fails at the call, and its module-level constants stay gone.  The same
 holds for the retired refit-schedule knobs: ``warm_start`` (a second
 spelling of ``full_refit_every=1``), the warm iteration caps (now engine
@@ -129,10 +131,51 @@ def test_end_models_predict_full_matrices_only(end_model_cls):
         ("repro.core.engine", "AUTO_DRIFT_TOL"),
         ("repro.core.engine", "AUTO_MAX_SKIPS"),
         ("repro.endmodel", "PlattCalibrator"),
+        ("repro.labelmodel.base", "accepts_stats"),
+        ("repro.core.engine", "inspect"),
     ],
 )
 def test_routing_constants_are_gone(module, name):
     assert not hasattr(importlib.import_module(module), name)
+
+
+@pytest.mark.parametrize(
+    "cls,name",
+    [
+        (MetalLabelModel, "_posterior_dense"),
+        (DawidSkene, "_e_step_dense"),
+        (MCDawidSkeneModel, "_posterior_dense"),
+        (MetalLabelModel, "_marginal_ll"),
+        (MCDawidSkeneModel, "marginal_ll"),
+    ],
+)
+def test_label_models_have_one_posterior_kernel(cls, name):
+    # The dense posteriors live in benchmarks/dense_reference.py and the
+    # log-likelihood oracles in the tests that use them.
+    assert not hasattr(cls, name)
+
+
+@pytest.fixture(scope="module")
+def stepped_session(tiny_dataset):
+    return DataProgrammingSession(
+        tiny_dataset, RandomSelector(), SimulatedUser(tiny_dataset, seed=0)
+    ).run(3)
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        "_end_model_accepts_max_iter",
+        "_end_model_accepts_minibatch",
+        "_end_model_snapshotable",
+        "_lm_accepts_stats",
+        "_label_model_accepts_stats",
+        "_predict_label_model",
+        "_end_refit_uncapped_due",
+    ],
+)
+def test_sessions_probe_no_model_capabilities(stepped_session, name):
+    assert not hasattr(stepped_session, name)
 
 
 END_MODELS = pytest.mark.parametrize(

@@ -282,22 +282,22 @@ class TestTunerInputs:
 
 
 class TestRefinedFitsUseTheHandle:
-    """No label-model fit of a contextualized session rebuilds a handle."""
+    """No label-model call of a contextualized session rebuilds a handle.
+
+    Fits, soft labels and the tuner's validation posteriors all run on a
+    live matrix's handle, so no vote matrix is ever re-ingested from a
+    dense array.
+    """
 
     @staticmethod
     def forbid_dense_handles(monkeypatch):
         calls = []
 
-        def spy(L, abstain=0):
+        def spy(cls, L, abstain=0):
             calls.append(np.asarray(L).shape)
-            raise AssertionError("a label-model fit rebuilt a stats handle from dense votes")
+            raise AssertionError("a label-model call rebuilt a stats handle from dense votes")
 
-        for module in (
-            "repro.labelmodel.metal",
-            "repro.labelmodel.dawid_skene",
-            "repro.multiclass.dawid_skene",
-        ):
-            monkeypatch.setattr(f"{module}.column_stats_from_dense", spy)
+        monkeypatch.setattr(VoteMatrix, "from_dense", classmethod(spy))
         return calls
 
     def test_nemo(self, tiny_dataset, monkeypatch):

@@ -1,11 +1,16 @@
 """The warm end-model contract (ENGINE.md §7): minibatch vs capped L-BFGS.
 
 Warm (between-backstop) end-model refits run the end model's
-``fit_minibatch`` Adam continuation when it has one, and the capped warm
-L-BFGS fit when it does not.  Two sessions — one with the stock end
-model, one whose end model hides ``fit_minibatch`` — are stepped in
-lockstep with a selector that never reads model state, so their LF
-trajectories, votes, and label models coincide by construction.  The
+``fit_minibatch`` Adam continuation once the covered set reaches the
+gate ``min(warm_min_train, MINIBATCH_MIN_COVERED)``, and the L-BFGS fit
+capped at ``WARM_END_ITER`` below it.  Two sessions are stepped in
+lockstep with a selector that never reads model state: one with
+``warm_min_train=0`` (a one-row gate, so every warm refit is a minibatch
+one) and one with ``warm_min_train`` equal to the training-split size
+(the warm cadence stays on, but the gate sits above every covered set
+that leaves a row uncovered, so warm refits take the capped L-BFGS fit).
+``warm_min_train`` decides nothing else on a split that large, so their
+LF trajectories, votes, and label models coincide by construction.  The
 contract under test: warm refits may diverge between the two, but at
 every full backstop the label/end state must be bit-identical — the
 backstop anchor makes each uncapped L-BFGS fit a pure function of the
@@ -27,25 +32,14 @@ from repro.multiclass.simulated_user import MCSimulatedUser
 from repro.obs import EngineObserver
 
 
-def hide_minibatch(cls):
-    """``cls`` with ``fit_minibatch`` hidden from ``hasattr``.
+def lbfgs_warm_min_train(dataset) -> int:
+    """A ``warm_min_train`` that keeps warm refits on capped L-BFGS.
 
-    The engine then routes warm end-model refits to the capped L-BFGS
-    fallback, exactly as for an end model that never had the method.
+    At the split size the warm cadence stays active, and the minibatch
+    gate needs every training row covered.
     """
+    return dataset.train.n
 
-    class NoMinibatch(cls):
-        def __getattribute__(self, name):
-            if name == "fit_minibatch":
-                raise AttributeError(name)
-            return super().__getattribute__(name)
-
-    NoMinibatch.__name__ = f"NoMinibatch{cls.__name__}"
-    return NoMinibatch
-
-
-NoMinibatchLogistic = hide_minibatch(SoftLabelLogisticRegression)
-NoMinibatchSoftmax = hide_minibatch(SoftLabelSoftmaxRegression)
 
 N_ITERATIONS = 22
 FULL_REFIT_EVERY = 5
@@ -53,21 +47,21 @@ FULL_REFIT_EVERY = 5
 
 @pytest.fixture(scope="module")
 def paired_modes(tiny_dataset):
-    """Step a minibatch and an L-BFGS-fallback session in lockstep."""
+    """Step a minibatch and a capped-L-BFGS session in lockstep."""
     ds = tiny_dataset
 
-    def make(end_model) -> DataProgrammingSession:
+    def make(warm_min_train) -> DataProgrammingSession:
         return DataProgrammingSession(
             ds,
             RandomSelector(),
             SimulatedUser(ds, seed=123),
-            end_model=end_model,
-            warm_min_train=0,  # exercise the warm path despite the small dataset
+            end_model=SoftLabelLogisticRegression(),
+            warm_min_train=warm_min_train,  # warm paths despite the small dataset
             full_refit_every=FULL_REFIT_EVERY,
             seed=42,
         )
 
-    mb, lb = make(SoftLabelLogisticRegression()), make(NoMinibatchLogistic())
+    mb, lb = make(0), make(lbfgs_warm_min_train(ds))
     mb.observer, lb.observer = EngineObserver(), EngineObserver()
     records = []
     for _ in range(N_ITERATIONS):
@@ -97,7 +91,7 @@ class TestBackstopBitIdentity:
     def test_minibatch_path_actually_ran(self, paired_modes):
         mb, lb, records = paired_modes
         assert mb.end_model.mb_t_ > 0, "no minibatch refit happened — the test is vacuous"
-        assert lb.end_model.mb_t_ == 0, "the L-BFGS fallback must never take Adam steps"
+        assert lb.end_model.mb_t_ == 0, "the capped L-BFGS path must never take Adam steps"
         assert any(not r["backstop_mb"] for r in records), "expected warm refits"
         mb_fits = mb.observer.totals()["end_fits"]
         lb_fits = lb.observer.totals()["end_fits"]
@@ -117,7 +111,7 @@ class TestBackstopBitIdentity:
     def test_warm_refits_do_diverge(self, paired_modes):
         # The sessions run genuinely different optimizers between
         # backstops; if every warm refit coincided bitwise, the minibatch
-        # path would not actually be exercised (or the fallback is broken).
+        # path would not actually be exercised (or the capped path is broken).
         _, _, records = paired_modes
         warm = [r for r in records if not r["backstop_mb"] and r["coef_mb"] is not None]
         assert any(not np.array_equal(r["coef_mb"], r["coef_lb"]) for r in warm)
@@ -131,27 +125,27 @@ class TestBackstopBitIdentity:
         np.testing.assert_array_equal(
             np.asarray(buf.matrix().todense()), np.asarray(X[buf.rows].todense())
         )
-        assert lb._covered_buf is None, "the L-BFGS fallback never touches the buffer"
+        assert lb._covered_buf is None, "the capped L-BFGS path never touches the buffer"
 
 
 class TestMulticlassBackstopBitIdentity:
     def test_backstop_state_bit_identical(self):
         ds = make_topics_dataset(n_docs=500, seed=0, vocab_scale=6)
 
-        def make(end_model) -> MultiClassSession:
-            return MultiClassSession(
+        def make(warm_min_train) -> MultiClassSession:
+            session = MultiClassSession(
                 ds,
                 MCRandomSelector(),
                 MCSimulatedUser(ds, seed=123),
-                end_model=end_model,
-                warm_min_train=0,
+                end_model=SoftLabelSoftmaxRegression(n_classes=ds.n_classes),
+                warm_min_train=warm_min_train,
                 full_refit_every=FULL_REFIT_EVERY,
                 seed=42,
             )
+            session.observer = EngineObserver()
+            return session
 
-        K = ds.n_classes
-        mb = make(SoftLabelSoftmaxRegression(n_classes=K))
-        lb = make(NoMinibatchSoftmax(n_classes=K))
+        mb, lb = make(0), make(lbfgs_warm_min_train(ds))
         n_backstops = 0
         for _ in range(N_ITERATIONS):
             mb.step()
@@ -165,6 +159,11 @@ class TestMulticlassBackstopBitIdentity:
         assert n_backstops >= 3
         assert mb.end_model.mb_t_ > 0, "the softmax minibatch path never ran"
         assert lb.end_model.mb_t_ == 0
+        mb_fits = mb.observer.totals()["end_fits"]
+        lb_fits = lb.observer.totals()["end_fits"]
+        assert mb_fits.get("minibatch", 0) > 0
+        assert lb_fits.get("warm_capped", 0) > 0
+        assert "minibatch" not in lb_fits
 
 
 class TestWarmEndRouting:

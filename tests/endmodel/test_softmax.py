@@ -81,6 +81,20 @@ class TestValidation:
         with pytest.raises(ValueError, match="hard labels"):
             clf.fit(np.zeros((2, 1)), np.array([0, 5]))
 
+    @pytest.mark.parametrize(
+        "labels",
+        [[0.5, 1.7], [0.0, np.nan], [1.0, np.inf]],
+        ids=["fractional", "nan", "inf"],
+    )
+    def test_rejects_non_integer_hard_labels(self, labels):
+        # A 1-D target is a class-id vector; truncating 1.7 to class 1
+        # would silently train on labels nobody gave.
+        clf = SoftLabelSoftmaxRegression(n_classes=2)
+        with pytest.raises(ValueError, match="finite integers"):
+            clf.fit(np.array([[0.0], [1.0]]), np.array(labels))
+        with pytest.raises(ValueError, match="finite integers"):
+            clf.fit_minibatch(np.array([[0.0], [1.0]]), np.array(labels))
+
     def test_constructor_validation(self):
         with pytest.raises(ValueError, match="n_classes"):
             SoftLabelSoftmaxRegression(n_classes=1)

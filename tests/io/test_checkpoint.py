@@ -34,7 +34,7 @@ from repro.multiclass.session import MultiClassSession
 from repro.multiclass.seu import MCSEUSelector
 from repro.multiclass.simulated_user import MCSimulatedUser
 from repro.obs import EngineObserver
-from tests.core.test_warm_end_mode import NoMinibatchLogistic
+from tests.core.test_warm_end_mode import lbfgs_warm_min_train
 
 #: Tight cadence so warm refits (and mid-cycle snapshots) happen on tiny data.
 ENGINE_KWARGS = dict(warm_min_train=0, warm_after=2, full_refit_every=5)
@@ -197,34 +197,39 @@ class TestWarmMinibatchRoundTrip:
     refits; these tests make the coverage non-vacuous: the snapshot point
     must land with live Adam state, a populated covered buffer, and a
     captured backstop anchor — and all of it must continue bit-identically
-    after restore.  An end model without ``fit_minibatch`` (warm refits on
-    the capped L-BFGS fallback) gets its own round-trip.
+    after restore.  Warm refits below the minibatch gate (the capped
+    L-BFGS fit) get their own round-trip.
     """
 
-    @pytest.mark.parametrize(
-        "end_model_cls",
-        [SoftLabelLogisticRegression, NoMinibatchLogistic],
-        ids=["minibatch", "lbfgs"],
-    )
+    @pytest.mark.parametrize("minibatch", [True, False], ids=["minibatch", "lbfgs"])
     def test_mid_warm_cycle_restore_continues_bit_identically(
-        self, binary_dataset, tmp_path, end_model_cls
+        self, binary_dataset, tmp_path, minibatch
     ):
-        minibatch = end_model_cls is SoftLabelLogisticRegression
+        kwargs = dict(ENGINE_KWARGS)
+        if not minibatch:
+            kwargs["warm_min_train"] = lbfgs_warm_min_train(binary_dataset)
 
         def build():
-            return DataProgrammingSession(
+            session = DataProgrammingSession(
                 binary_dataset,
                 SEUSelector(),
                 SimulatedUser(binary_dataset, seed=11),
-                end_model=end_model_cls(),
+                end_model=SoftLabelLogisticRegression(),
                 seed=3,
-                **ENGINE_KWARGS,
+                **kwargs,
             )
+            session.observer = EngineObserver()
+            return session
 
         ref = build()
         for _ in range(TOTAL_ITERATIONS):
             ref.step()
         ref._resolve_proxy()
+        end_fits = ref.observer.totals()["end_fits"]
+        if minibatch:
+            assert end_fits.get("minibatch", 0) > 0
+        else:
+            assert end_fits.get("warm_capped", 0) > 0 and "minibatch" not in end_fits
 
         first = build()
         for _ in range(SNAPSHOT_AT):

@@ -9,9 +9,9 @@ spanning n, m, K, coverage, and one-sided vote sets:
   fitted state, and so do their stats posteriors — the structure identity
   contract: identical per-column structure ⇒ identical flat entry arrays
   ⇒ identical gather/segment-sum results.
-* **Posterior kernel follows the handle (allclose).**  ``predict_proba``
-  without a handle runs the dense posterior; with one it runs the table
-  kernel.  The two agree to float tolerance, not bitwise.
+* **One posterior kernel (byte-equal).**  ``predict_proba`` without a
+  handle builds one and runs the same table kernel as the call handed
+  the live handle, so the two agree bitwise.
 * **Dense oracle (allclose).**  The stats fits agree with the dense EM of
   ``benchmarks/dense_reference.py`` to float tolerance (summation orders
   differ, so byte equality is not promised across kernels).
@@ -110,11 +110,11 @@ def _assert_byte_equal_state(a, b):
 
 
 def _assert_posteriors(model, L, vm):
-    """Stats posteriors byte-equal across handle sources; dense allclose."""
+    """Stats posteriors byte-equal across handle sources, and without one."""
     built = VoteMatrix.from_dense(L.copy(), abstain=vm.abstain)
     handed = model.predict_proba(vm.values, stats=vm.stats)
     assert model.predict_proba(built.values, stats=built.stats).tobytes() == handed.tobytes()
-    np.testing.assert_allclose(model.predict_proba(L.copy()), handed, rtol=1e-9, atol=1e-12)
+    assert model.predict_proba(L.copy()).tobytes() == handed.tobytes()
 
 
 class TestHandleSourceParityByteEqual:

@@ -1,17 +1,22 @@
-"""One label-model kernel per step, chosen by the caller's inputs.
+"""One posterior kernel per label model, and one call shape for all of them.
 
-ENGINE.md §10's routing contract for the three stats-aware label models:
+ENGINE.md §10's contract:
 
-* ``fit`` and ``fit_warm`` always run the O(nnz) stats EM.  Handed a
-  :class:`ColumnStats` handle they use it; without one they build one
-  with a single scan of the dense matrix.  The dense posterior never runs
-  inside a fit.
-* ``predict_proba`` runs the stats posterior when a handle is passed and
-  the dense posterior when none is, without building a handle.
+* ``fit`` and ``fit_warm`` of the three EM label models always run the
+  O(nnz) stats EM.  Handed a :class:`ColumnStats` handle they use it;
+  without one they build one with a single scan of the dense matrix.
+* ``predict_proba`` runs the one stats posterior.  Without a handle it
+  builds one with a single scan, and its bytes equal those of the call
+  handed the live handle.
+* The dense arithmetic lives in ``benchmarks/dense_reference.py`` and
+  agrees with production to rtol 1e-9.
+* Every session label model — the three EM models, ``MajorityVote``,
+  ``TripletLabelModel`` and ``MCMajorityVote`` — takes ``stats=`` on
+  ``fit``, ``fit_warm`` and ``predict_proba``, and its output is
+  byte-equal to the no-handle call.
 
-The routing follows an input the caller already supplies (the handle),
-never the matrix size.  These tests spy on the module-level handle
-builder and on both posterior kernels of each model.
+These tests spy on the one handle builder (``VoteMatrix.from_dense``) and
+on each EM model's stats kernel.
 """
 
 import numpy as np
@@ -22,13 +27,13 @@ from benchmarks.dense_reference import (
     DenseMCDawidSkeneModel,
     DenseMetalLabelModel,
 )
-from repro.labelmodel import dawid_skene as ds_module
-from repro.labelmodel import metal as metal_module
 from repro.labelmodel.dawid_skene import DawidSkene
+from repro.labelmodel.majority import MajorityVote
 from repro.labelmodel.matrix import VoteMatrix
 from repro.labelmodel.metal import MetalLabelModel
-from repro.multiclass import dawid_skene as mcds_module
+from repro.labelmodel.triplet import TripletLabelModel
 from repro.multiclass.dawid_skene import MCDawidSkeneModel
+from repro.multiclass.majority import MCMajorityVote
 from repro.multiclass.matrix import MC_ABSTAIN
 
 from tests.labelmodel.test_cold_sparse_parity import (
@@ -41,15 +46,13 @@ K = 3
 
 
 class Spec:
-    """How to build, fit and spy on one label model."""
+    """How to build, fit and spy on one EM label model."""
 
-    def __init__(self, name, cls, module, abstain, stats_kernel, dense_kernel, make_L, make, make_dense):
+    def __init__(self, name, cls, abstain, stats_kernel, make_L, make, make_dense):
         self.name = name
         self.cls = cls
-        self.module = module
         self.abstain = abstain
         self.stats_kernel = stats_kernel
-        self.dense_kernel = dense_kernel
         self.make_L = make_L
         self.make = make
         self.make_dense = make_dense
@@ -59,10 +62,8 @@ SPECS = [
     Spec(
         "metal",
         MetalLabelModel,
-        metal_module,
         0,
         "_posterior_stats",
-        "_posterior_dense",
         lambda rng: planted_binary(rng, 400, 7),
         MetalLabelModel,
         DenseMetalLabelModel,
@@ -70,10 +71,8 @@ SPECS = [
     Spec(
         "dawid-skene",
         DawidSkene,
-        ds_module,
         0,
         "_e_step_stats",
-        "_e_step_dense",
         lambda rng: planted_binary(rng, 400, 7),
         DawidSkene,
         DenseDawidSkene,
@@ -81,10 +80,8 @@ SPECS = [
     Spec(
         "mc-dawid-skene",
         MCDawidSkeneModel,
-        mcds_module,
         MC_ABSTAIN,
         "_posterior_stats",
-        "_posterior_dense",
         lambda rng: planted_mc(rng, 400, 7, K),
         lambda: MCDawidSkeneModel(n_classes=K),
         lambda: DenseMCDawidSkeneModel(n_classes=K),
@@ -114,9 +111,8 @@ def _spy(monkeypatch, owner, name):
 
 def _spies(monkeypatch, spec):
     return {
-        "builds": _spy(monkeypatch, spec.module, "column_stats_from_dense"),
+        "builds": _spy(monkeypatch, VoteMatrix, "from_dense"),
         "stats": _spy(monkeypatch, spec.cls, spec.stats_kernel),
-        "dense": _spy(monkeypatch, spec.cls, spec.dense_kernel),
     }
 
 
@@ -152,9 +148,7 @@ class TestFitRunsTheStatsKernel:
     @pytest.mark.parametrize("handle", [True, False], ids=["handle", "no-handle"])
     @pytest.mark.parametrize("entry", ["fit", "fit_warm"])
     @pytest.mark.parametrize("spec", SPECS, ids=SPEC_IDS)
-    def test_one_scan_only_without_a_handle_and_never_the_dense_posterior(
-        self, monkeypatch, spec, entry, handle
-    ):
+    def test_one_scan_only_without_a_handle(self, monkeypatch, spec, entry, handle):
         L, vm = _fixture(spec)
         previous = spec.make().fit(L.copy())
         spies = _spies(monkeypatch, spec)
@@ -168,40 +162,52 @@ class TestFitRunsTheStatsKernel:
 
         assert len(spies["builds"]) == (0 if handle else 1)
         assert spies["stats"], "the stats EM never ran"
-        assert not spies["dense"], "a fit ran the dense posterior"
 
 
-class TestPosteriorKernelFollowsTheHandle:
-    @pytest.mark.parametrize("handle", [True, False], ids=["handle", "no-handle"])
+class TestOnePosteriorKernel:
     @pytest.mark.parametrize("spec", SPECS, ids=SPEC_IDS)
-    def test_predict_proba_runs_exactly_one_kernel(self, monkeypatch, spec, handle):
+    def test_no_handle_call_builds_one_handle_and_equals_the_handle_call(
+        self, monkeypatch, spec
+    ):
         L, vm = _fixture(spec)
         model = spec.make().fit(vm.values, stats=vm.stats)
         spies = _spies(monkeypatch, spec)
 
-        if handle:
-            model.predict_proba(vm.values, stats=vm.stats)
-        else:
-            model.predict_proba(L.copy())
+        handed = model.predict_proba(vm.values, stats=vm.stats)
+        assert (len(spies["builds"]), len(spies["stats"])) == (0, 1)
+        built = model.predict_proba(L.copy())
+        assert (len(spies["builds"]), len(spies["stats"])) == (1, 2)
+        assert built.tobytes() == handed.tobytes()
 
-        assert not spies["builds"], "predict_proba built a stats handle"
-        assert len(spies["stats"]) == (1 if handle else 0)
-        assert len(spies["dense"]) == (0 if handle else 1)
+    @pytest.mark.parametrize("spec", SPECS, ids=SPEC_IDS)
+    def test_detached_handle_equals_the_live_one(self, monkeypatch, spec):
+        # A handle built from the dense matrix up front is used as given:
+        # no second scan, and the same bytes as the live handle.
+        L, vm = _fixture(spec)
+        detached = VoteMatrix.from_dense(L.copy(), abstain=spec.abstain)
+        model = spec.make().fit(vm.values, stats=vm.stats)
+        spies = _spies(monkeypatch, spec)
+
+        got = model.predict_proba(detached.values, stats=detached.stats)
+        assert (len(spies["builds"]), len(spies["stats"])) == (0, 1)
+        assert got.tobytes() == model.predict_proba(vm.values, stats=vm.stats).tobytes()
 
 
 class TestDenseReferenceStandsIn:
     """``benchmarks/dense_reference.py`` overrides only the cold fit and posterior."""
 
     @pytest.mark.parametrize("spec", SPECS, ids=SPEC_IDS)
-    def test_reference_posterior_is_the_no_handle_kernel(self, spec):
+    def test_reference_posterior_agrees_with_production(self, spec):
         L, vm = _fixture(spec, seed=1)
         reference = spec.make_dense().fit(L.copy())
         production = _with_state(spec.make(), reference)
 
-        expected = production.predict_proba(L.copy()).tobytes()
-        assert reference.predict_proba(L.copy()).tobytes() == expected
+        expected = reference.predict_proba(L.copy())
         # The reference ignores a handle: its posterior is always dense.
-        assert reference.predict_proba(vm.values, stats=vm.stats).tobytes() == expected
+        assert reference.predict_proba(vm.values, stats=vm.stats).tobytes() == expected.tobytes()
+        np.testing.assert_allclose(
+            production.predict_proba(vm.values, stats=vm.stats), expected, rtol=1e-9, atol=1e-12
+        )
 
     @pytest.mark.parametrize("spec", SPECS, ids=SPEC_IDS)
     def test_reference_warm_fit_is_inherited(self, spec):
@@ -219,13 +225,41 @@ class TestDenseReferenceStandsIn:
         _assert_byte_equal_state(reference, production)
 
 
-def test_live_and_detached_handles_select_the_same_kernel(monkeypatch):
-    # A detached handle built from the dense matrix routes exactly like
-    # the live one: the handle's presence, not its source, decides.
-    spec = SPECS[0]
-    L, _ = _fixture(spec)
-    built = VoteMatrix.from_dense(L.copy(), abstain=0)
-    model = spec.make().fit(built.values, stats=built.stats)
-    spies = _spies(monkeypatch, spec)
-    model.predict_proba(built.values, stats=built.stats)
-    assert (len(spies["stats"]), len(spies["dense"]), len(spies["builds"])) == (1, 0, 0)
+#: Every label model a session can hold: (id, factory, abstain sentinel).
+SESSION_MODELS = [
+    ("metal", MetalLabelModel, 0),
+    ("dawid-skene", DawidSkene, 0),
+    ("majority", MajorityVote, 0),
+    ("triplet", TripletLabelModel, 0),
+    ("mc-dawid-skene", lambda: MCDawidSkeneModel(n_classes=K), MC_ABSTAIN),
+    ("mc-majority", lambda: MCMajorityVote(n_classes=K), MC_ABSTAIN),
+]
+
+
+@pytest.mark.parametrize("entry", ["fit", "fit_warm", "predict_proba"])
+@pytest.mark.parametrize(
+    "make,abstain", [m[1:] for m in SESSION_MODELS], ids=[m[0] for m in SESSION_MODELS]
+)
+def test_every_session_label_model_takes_the_handle(make, abstain, entry):
+    # The engine calls every model with stats=; the handle may save work
+    # but never changes a byte of the result.
+    rng = np.random.default_rng(3)
+    L = planted_binary(rng, 300, 6) if abstain == 0 else planted_mc(rng, 300, 6, K)
+    vm = appended_matrix(L, abstain=abstain)
+
+    def run(with_handle):
+        votes, stats = (vm.values, vm.stats) if with_handle else (L.copy(), None)
+        model = make()
+        if entry == "fit":
+            return model.fit(votes, stats=stats)
+        if entry == "fit_warm":
+            previous = make().fit(L[:, :-1].copy())
+            return model.fit_warm(votes, previous, max_iter=3, stats=stats)
+        return model.fit(L.copy()).predict_proba(votes, stats=stats)
+
+    handed, plain = run(True), run(False)
+    if entry == "predict_proba":
+        assert handed.tobytes() == plain.tobytes()
+        return
+    _assert_byte_equal_state(handed, plain)
+    assert handed.predict_proba(L.copy()).tobytes() == plain.predict_proba(L.copy()).tobytes()
